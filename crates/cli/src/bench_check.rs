@@ -40,8 +40,9 @@
 //! loosens the gate in the other direction) and large per-row factors are
 //! printed, so a pass that leaned on drift is visible in the log.
 
-use crate::net_cmds::{cmd_net_bench, NetBenchConfig};
-use crate::serve_bench::{cmd_serve_bench, ServeBenchConfig};
+use crate::net_cmds::net_bench_rows;
+use crate::serve_bench::serve_bench_rows;
+use crate::traffic::TrafficConfig;
 use crate::CliError;
 use biq_bench::timing::{auto_reps, host_canary_quick_ns, measure};
 use biq_bench::workloads::binary_workload;
@@ -544,7 +545,7 @@ fn gate_serve(
     // workload shape — one fresh replay serves every row. A file with
     // heterogeneous rows would otherwise be silently judged against a
     // replay of only the last row's shape; refuse it instead.
-    let mut bench = ServeBenchConfig { requests: cfg.requests, ..ServeBenchConfig::default() };
+    let mut bench = TrafficConfig { requests: cfg.requests, ..TrafficConfig::default() };
     require_homogeneous(&baseline_rows, &["m", "n", "workers"], "BENCH_serve.json")?;
     // Window/cap legitimately differ *between* modes (unbatched pins 0/1),
     // but rows of one mode must agree — a window sweep committed as one
@@ -561,18 +562,16 @@ fn gate_serve(
         let mode = row_str(row, "mode", "BENCH_serve.json")?;
         bench.rows = row_f64(row, "m", "BENCH_serve.json")? as usize;
         bench.cols = row_f64(row, "n", "BENCH_serve.json")? as usize;
-        bench.workers = row_f64(row, "workers", "BENCH_serve.json")? as usize;
+        bench.server.workers = row_f64(row, "workers", "BENCH_serve.json")? as usize;
         if mode == "batched" {
-            bench.window =
+            bench.server.window =
                 Duration::from_micros(row_f64(row, "window_us", "BENCH_serve.json")? as u64);
-            bench.max_batch_cols = row_f64(row, "max_batch_cols", "BENCH_serve.json")? as usize;
+            bench.server.max_batch_cols =
+                row_f64(row, "max_batch_cols", "BENCH_serve.json")? as usize;
         }
     }
-    let out =
-        std::env::temp_dir().join(format!("biq_bench_check_serve_{}.json", std::process::id()));
-    let (fresh, drift) = with_drift(canary, || cmd_serve_bench(&bench, None, &out));
+    let (fresh, drift) = with_drift(canary, || serve_bench_rows(&bench, None));
     let fresh = fresh?;
-    let _ = std::fs::remove_file(&out);
     let mut fresh_rows = Vec::new();
     for row in &baseline_rows {
         let mode = row_str(row, "mode", "BENCH_serve.json")?;
@@ -597,7 +596,7 @@ fn gate_net(
 ) -> Result<(), CliError> {
     let text = std::fs::read_to_string(path)?;
     let baseline_rows = parse_rows(&text)?;
-    let mut bench = NetBenchConfig { requests: cfg.requests, ..NetBenchConfig::default() };
+    let mut bench = TrafficConfig { requests: cfg.requests, ..TrafficConfig::default() };
     require_homogeneous(
         &baseline_rows,
         &["m", "n", "workers", "concurrency", "window_us", "max_batch_cols"],
@@ -606,12 +605,12 @@ fn gate_net(
     for row in &baseline_rows {
         bench.rows = row_f64(row, "m", "BENCH_net.json")? as usize;
         bench.cols = row_f64(row, "n", "BENCH_net.json")? as usize;
-        bench.workers = row_f64(row, "workers", "BENCH_net.json")? as usize;
+        bench.server.workers = row_f64(row, "workers", "BENCH_net.json")? as usize;
         bench.concurrency = row_f64(row, "concurrency", "BENCH_net.json")? as usize;
-        bench.window = Duration::from_micros(row_f64(row, "window_us", "BENCH_net.json")? as u64);
-        bench.max_batch_cols = row_f64(row, "max_batch_cols", "BENCH_net.json")? as usize;
+        bench.server.window =
+            Duration::from_micros(row_f64(row, "window_us", "BENCH_net.json")? as u64);
+        bench.server.max_batch_cols = row_f64(row, "max_batch_cols", "BENCH_net.json")? as usize;
     }
-    let out = std::env::temp_dir().join(format!("biq_bench_check_net_{}.json", std::process::id()));
     // The gate re-measures the canonical pair only: committed sweep rows
     // (mode "sweep", idle-connection scaling) are trajectory markers, far
     // too machine-shaped to gate, and find no fresh counterpart below.
@@ -621,10 +620,9 @@ fn gate_net(
     // net verdict is a median.
     const NET_GATE_RUNS: usize = 3;
     let (runs, drift) = with_drift(canary, || -> Result<Vec<_>, CliError> {
-        (0..NET_GATE_RUNS).map(|_| cmd_net_bench(&bench, &[], &out)).collect()
+        (0..NET_GATE_RUNS).map(|_| net_bench_rows(&bench, &[])).collect()
     });
     let runs = runs?;
-    let _ = std::fs::remove_file(&out);
     let median = |mut v: Vec<f64>| -> Option<f64> {
         if v.is_empty() {
             return None;

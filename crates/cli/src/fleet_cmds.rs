@@ -12,29 +12,15 @@
 //! loads past the ceiling after evicting cold idle models (LRU; models
 //! with in-flight work are never evicted).
 
-use crate::CliError;
+use crate::{connect_retry, CliError};
 use biq_obs::{render_models_section, ModelRow};
-use biq_serve::net::{ModelInfo, NetClient};
-use std::time::Duration;
+use biq_serve::net::NetClient;
+use biq_serve::ModelInfo;
 
 /// Connection attempts before giving up (100 ms apart) — same retry
 /// discipline as the other admin clients, so `biq model` can race a
 /// daemon that is still binding.
 const CONNECT_ATTEMPTS: usize = 10;
-
-fn connect_retry(addr: &str) -> Result<NetClient, CliError> {
-    let mut last = None;
-    for _ in 0..CONNECT_ATTEMPTS {
-        match NetClient::connect(addr) {
-            Ok(c) => return Ok(c),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-    Err(CliError(format!("connect {addr}: {}", last.expect("at least one attempt"))))
-}
 
 /// What `biq model load` reports back.
 #[derive(Clone, Debug)]
@@ -53,7 +39,7 @@ pub struct ModelLoadReport {
 /// `biq model load`: loads (or swaps) `name` from a `BIQM` artifact at
 /// `path` on the daemon's filesystem.
 pub fn cmd_model_load(addr: &str, name: &str, path: &str) -> Result<ModelLoadReport, CliError> {
-    let mut client = connect_retry(addr)?;
+    let mut client = connect_retry(addr, CONNECT_ATTEMPTS)?;
     let (version, mem_bytes, ops, evicted) =
         client.load_model(name, path).map_err(|e| CliError(format!("load {name}: {e}")))?;
     Ok(ModelLoadReport { version, mem_bytes, ops, evicted })
@@ -62,13 +48,13 @@ pub fn cmd_model_load(addr: &str, name: &str, path: &str) -> Result<ModelLoadRep
 /// `biq model unload`: retires `version` of `name` (`0` targets the live
 /// version). Returns `(version retired, ops retired)`.
 pub fn cmd_model_unload(addr: &str, name: &str, version: u32) -> Result<(u32, u32), CliError> {
-    let mut client = connect_retry(addr)?;
+    let mut client = connect_retry(addr, CONNECT_ATTEMPTS)?;
     client.unload_model(name, version).map_err(|e| CliError(format!("unload {name}: {e}")))
 }
 
 /// `biq model list`: the daemon's fleet table, live and retired versions.
 pub fn cmd_model_list(addr: &str) -> Result<Vec<ModelInfo>, CliError> {
-    let mut client = connect_retry(addr)?;
+    let mut client = connect_retry(addr, CONNECT_ATTEMPTS)?;
     client.list_models().map_err(|e| CliError(format!("list models: {e}")))
 }
 
@@ -90,7 +76,7 @@ pub fn model_rows(models: &[ModelInfo]) -> Vec<ModelRow> {
             live: m.live,
             mem_bytes: m.mem_bytes,
             ops: m.ops as u64,
-            inflight: m.inflight as u64,
+            inflight: m.inflight,
             completed: m.completed,
         })
         .collect()
@@ -126,7 +112,8 @@ pub fn parse_mem_budget(s: &str) -> Result<u64, CliError> {
 mod tests {
     use super::*;
     use crate::model_cmds::{cmd_compile, cmd_run_model, CompileConfig};
-    use crate::net_cmds::{cmd_load_client, start_daemon, DaemonConfig, LoadClientConfig};
+    use crate::net_cmds::{cmd_load_client, start_daemon, DaemonConfig};
+    use crate::traffic::TrafficConfig;
     use biq_artifact::fnv1a64;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -174,12 +161,12 @@ mod tests {
         // v1 serves with run-model digest parity (the boot model is named
         // after the artifact's file stem).
         let digest = |seed: u64, requests: usize| {
-            cmd_load_client(&LoadClientConfig {
+            cmd_load_client(&TrafficConfig {
                 addr: addr.clone(),
                 op: Some("linear".into()),
                 requests,
                 seed,
-                ..LoadClientConfig::default()
+                ..TrafficConfig::default()
             })
             .unwrap()
             .digest

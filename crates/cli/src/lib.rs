@@ -13,9 +13,9 @@
 //! ```
 //!
 //! Commands are implemented as pure functions over paths so tests can drive
-//! them without spawning processes. `serve-bench` (in [`serve_bench`])
-//! drives the `biq_serve` batching layer with synthetic open-loop traffic
-//! and records throughput/latency per batching mode.
+//! them without spawning processes. `serve-bench`, `net-bench` and
+//! `load-client` replay seeded traffic against the `biq_serve` layer
+//! through the one replay loop in [`traffic`].
 
 use biq_matrix::io as mio;
 use biq_matrix::{ColMatrix, Matrix, MatrixRng};
@@ -38,19 +38,18 @@ pub mod net_cmds;
 pub mod serve_bench;
 pub mod stats_cmd;
 pub mod top_cmd;
+pub mod traffic;
 pub use bench_check::{cmd_bench_check, BenchCheckConfig, GateStatus};
 pub use fleet_cmds::{
     cmd_model_list, cmd_model_load, cmd_model_unload, fetch_mem_budget, parse_mem_budget,
     render_model_list, ModelLoadReport,
 };
 pub use model_cmds::{build_model, cmd_compile, cmd_inspect, cmd_run_model, CompileConfig};
-pub use net_cmds::{
-    cmd_load_client, cmd_net_bench, cmd_serve, DaemonConfig, LoadClientConfig, LoadReport,
-    NetBenchConfig, NetBenchRow, ServeOptions,
-};
-pub use serve_bench::{cmd_serve_bench, ServeBenchConfig, ServeBenchRow};
+pub use net_cmds::{cmd_load_client, cmd_net_bench, cmd_serve, DaemonConfig, ServeOptions};
+pub use serve_bench::cmd_serve_bench;
 pub use stats_cmd::{cmd_stats, StatsConfig, StatsFormat};
 pub use top_cmd::{cmd_top, TopConfig};
+pub use traffic::{TrafficConfig, TrafficReport};
 
 /// CLI-level errors (message-oriented; the binary prints and exits 1).
 #[derive(Debug)]
@@ -68,6 +67,22 @@ impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError(format!("io error: {e}"))
     }
+}
+
+/// Connects to a daemon, retrying `attempts` times 100 ms apart — lets a
+/// client start before the daemon finishes binding.
+pub(crate) fn connect_retry(addr: &str, attempts: usize) -> Result<biq_serve::NetClient, CliError> {
+    let mut last = None;
+    for _ in 0..attempts.max(1) {
+        match biq_serve::NetClient::connect(addr) {
+            Ok(c) => return Ok(c),
+            Err(e) => {
+                last = Some(e);
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+        }
+    }
+    Err(CliError(format!("connect {addr}: {}", last.expect("at least one attempt"))))
 }
 
 /// `--kernel {auto,scalar,avx2,avx512,neon}`: validates the level against

@@ -5,8 +5,7 @@ use biq_cli::{
     cmd_model_list, cmd_model_load, cmd_model_unload, cmd_net_bench, cmd_pack, cmd_quantize,
     cmd_run_model, cmd_serve, cmd_serve_bench, cmd_stats, cmd_top, fetch_mem_budget,
     parse_mem_budget, render_model_list, BenchCheckConfig, CliError, CompileConfig, DaemonConfig,
-    GateStatus, LoadClientConfig, NetBenchConfig, ServeBenchConfig, ServeOptions, StatsConfig,
-    StatsFormat, TopConfig,
+    GateStatus, ServeOptions, StatsConfig, StatsFormat, TopConfig, TrafficConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -32,7 +31,7 @@ MODEL PIPELINE (BIQM compiled-model artifacts):
 
 SERVING:
   biq serve-bench [--model ARTIFACT] [--rows M] [--cols N] [--requests R]
-                  [--workers W] [--window-us U] [--max-batch B] [--gap-us G]
+                  [--workers W] [--window-us U] [--max-batch B]
                   [--pin-workers] [--kernel auto|scalar|avx2|avx512|neon]
                   [--quick] [--out PATH]
   biq serve       --model ARTIFACT --addr HOST:PORT [--workers W]
@@ -55,6 +54,9 @@ CI GATE:
   biq bench check [--dir results] [--tolerance T] [--skip SUBSTR]...
                   [--requests R]
   biq help
+
+  --help (or -h) after any command prints this text and runs nothing. A
+  flag the command does not take is an error naming the flag.
 
 KERNEL LEVELS:
   --kernel pins the SIMD kernel level for every plan the command builds
@@ -93,7 +95,9 @@ with sparkline history, windowed p50/p99, and the slowest requests broken
 down by lifecycle phase (queue/window/exec/ticket/write); --once prints a
 single plain snapshot for scripts and CI. load-client replays seeded
 single-column traffic over N connections and prints throughput/p50/p99
-plus a response digest;
+plus a response digest (serve-bench, net-bench and load-client share one
+replay loop: exact latency quantiles, Busy retries, replies kept in
+column order);
 for a linear artifact the digest equals `biq run-model --seed S --len R`'s
 exactly (the wire and the batcher are both bit-transparent). net-bench
 measures the wire tax over loopback (default results/BENCH_net.json);
@@ -128,7 +132,9 @@ impl Args {
         let mut flags = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
+            if a == "-h" {
+                flags.push(("help".to_string(), None));
+            } else if let Some(name) = a.strip_prefix("--") {
                 let value = match it.peek() {
                     Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
                     _ => None,
@@ -154,6 +160,20 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
+    /// Every verb arm calls this first with the (space-separated) flags it
+    /// takes. `--help`/`-h` prints usage and exits 0 without running the
+    /// verb; a flag outside `known` is an error naming it.
+    fn accepts(&self, known: &str) -> Result<(), CliError> {
+        if self.has("help") {
+            println!("{HELP}");
+            std::process::exit(0);
+        }
+        match self.flags.iter().find(|(n, _)| !known.split_whitespace().any(|k| k == n)) {
+            Some((name, _)) => Err(CliError(format!("unknown flag --{name} (see `biq help`)"))),
+            None => Ok(()),
+        }
+    }
+
     fn usize_flag(&self, name: &str) -> Result<usize, CliError> {
         self.flag(name)
             .ok_or_else(|| CliError(format!("missing --{name}")))?
@@ -175,6 +195,7 @@ fn run() -> Result<(), CliError> {
     let args = Args::parse(&raw[1..]);
     match cmd.as_str() {
         "gen" => {
+            args.accepts("rows cols seed std col")?;
             let rows = args.usize_flag("rows")?;
             let cols = args.usize_flag("cols")?;
             let seed = args.flag("seed").map_or(Ok(0u64), |s| {
@@ -188,6 +209,7 @@ fn run() -> Result<(), CliError> {
             println!("wrote {rows}x{cols} matrix to {}", out.display());
         }
         "quantize" => {
+            args.accepts("bits alternating")?;
             let bits = args.usize_flag("bits")?;
             let input = positional_path(&args, 0, "input path")?;
             let out = positional_path(&args, 1, "output path")?;
@@ -195,6 +217,7 @@ fn run() -> Result<(), CliError> {
             println!("quantized {} -> {} ({bits} bits)", input.display(), out.display());
         }
         "pack" => {
+            args.accepts("mu")?;
             let mu = args.usize_flag("mu")?;
             let input = positional_path(&args, 0, "input path")?;
             let out = positional_path(&args, 1, "output path")?;
@@ -202,6 +225,7 @@ fn run() -> Result<(), CliError> {
             println!("packed {} -> {} (µ = {mu})", input.display(), out.display());
         }
         "matmul" => {
+            args.accepts("weights input output parallel kernel")?;
             if let Some(k) = args.flag("kernel") {
                 biq_cli::set_kernel_flag(k)?;
             }
@@ -212,10 +236,14 @@ fn run() -> Result<(), CliError> {
             println!("wrote {m}x{b} output to {}", output.display());
         }
         "info" => {
+            args.accepts("")?;
             let path = positional_path(&args, 0, "file path")?;
             println!("{}", cmd_info(&path)?);
         }
         "compile" => {
+            args.accepts(
+                "model backend bits seed parallel d-model d-ff heads layers dec-layers vocab",
+            )?;
             let mut cfg = CompileConfig::default();
             if let Some(kind) = args.flag("model") {
                 cfg.kind = kind.to_string();
@@ -255,6 +283,7 @@ fn run() -> Result<(), CliError> {
             println!("compiled {desc} -> {} ({size} bytes)", out.display());
         }
         "run-model" => {
+            args.accepts("seed len")?;
             let path = positional_path(&args, 0, "model path")?;
             let seed = args.flag("seed").map_or(Ok(0u64), |s| {
                 s.parse().map_err(|_| CliError("--seed must be an integer".into()))
@@ -273,39 +302,26 @@ fn run() -> Result<(), CliError> {
             );
         }
         "inspect" => {
+            args.accepts("")?;
             let path = positional_path(&args, 0, "model path")?;
             print!("{}", cmd_inspect(&path)?);
         }
         "serve-bench" => {
+            args.accepts(
+                "model rows cols requests workers window-us max-batch pin-workers kernel quick out",
+            )?;
             if let Some(k) = args.flag("kernel") {
                 biq_cli::set_kernel_flag(k)?;
             }
-            let mut cfg = ServeBenchConfig::default();
-            if args.has("quick") {
-                cfg.requests = 400;
-            }
+            let mut cfg = TrafficConfig::default();
+            traffic_flags(&args, &mut cfg)?;
             if args.has("rows") {
                 cfg.rows = args.usize_flag("rows")?;
             }
             if args.has("cols") {
                 cfg.cols = args.usize_flag("cols")?;
             }
-            if args.has("requests") {
-                cfg.requests = args.usize_flag("requests")?;
-            }
-            if args.has("workers") {
-                cfg.workers = args.usize_flag("workers")?.max(1);
-            }
-            if args.has("window-us") {
-                cfg.window = Duration::from_micros(args.usize_flag("window-us")? as u64);
-            }
-            if args.has("max-batch") {
-                cfg.max_batch_cols = args.usize_flag("max-batch")?.max(1);
-            }
-            if args.has("gap-us") {
-                cfg.gap = Duration::from_micros(args.usize_flag("gap-us")? as u64);
-            }
-            cfg.pin_workers = args.has("pin-workers");
+            daemon_flags(&args, &mut cfg.server)?;
             let model = args.flag("model").map(PathBuf::from);
             if model.is_some() && (args.has("rows") || args.has("cols")) {
                 return Err(CliError(
@@ -320,50 +336,37 @@ fn run() -> Result<(), CliError> {
                 .unwrap_or_else(|| PathBuf::from("results/BENCH_serve.json"));
             let rows = cmd_serve_bench(&cfg, model.as_deref(), &out)?;
             for r in &rows {
+                let s = r.server.expect("bench rows record their server");
                 println!(
                     "{:>9} [{}]: {:.0} req/s, p50 {} us, p99 {} us, mean batch {:.2} cols \
                      (window {} us, cap {}, {} workers, kernel {})",
                     r.mode,
-                    r.op_name,
+                    r.op,
                     r.throughput_rps,
                     r.p50_us,
                     r.p99_us,
                     r.mean_batch_cols,
-                    r.window_us,
-                    r.max_batch_cols,
-                    r.workers,
-                    r.kernel
+                    s.window.as_micros(),
+                    s.max_batch_cols,
+                    s.workers,
+                    r.kernel.as_deref().unwrap_or("unknown")
                 );
             }
             let speedup = rows[1].throughput_rps / rows[0].throughput_rps.max(1e-9);
             println!("batched/unbatched throughput: {speedup:.2}x -> {}", out.display());
         }
         "serve" => {
+            args.accepts(
+                "model addr workers window-us max-batch queue-cap pin-workers io-threads \
+                 mem-budget kernel stats-every trace-out",
+            )?;
             if let Some(k) = args.flag("kernel") {
                 biq_cli::set_kernel_flag(k)?;
             }
             let model = flag_path(&args, "model")?;
             let addr = args.flag("addr").ok_or_else(|| CliError("missing --addr".into()))?;
             let mut cfg = DaemonConfig::default();
-            if args.has("workers") {
-                cfg.workers = args.usize_flag("workers")?.max(1);
-            }
-            if args.has("window-us") {
-                cfg.window = Duration::from_micros(args.usize_flag("window-us")? as u64);
-            }
-            if args.has("max-batch") {
-                cfg.max_batch_cols = args.usize_flag("max-batch")?.max(1);
-            }
-            if args.has("queue-cap") {
-                cfg.queue_capacity = args.usize_flag("queue-cap")?.max(1);
-            }
-            cfg.pin_workers = args.has("pin-workers");
-            if args.has("io-threads") {
-                cfg.io_threads = args.usize_flag("io-threads")?.max(1);
-            }
-            if let Some(budget) = args.flag("mem-budget") {
-                cfg.mem_budget = Some(parse_mem_budget(budget)?);
-            }
+            daemon_flags(&args, &mut cfg)?;
             let mut opts = ServeOptions::default();
             if args.has("stats-every") {
                 opts.stats_every =
@@ -373,27 +376,17 @@ fn run() -> Result<(), CliError> {
             cmd_serve(&model, addr, &cfg, &opts)?;
         }
         "load-client" => {
-            let mut cfg = LoadClientConfig {
+            args.accepts("addr op requests concurrency seed pipeline")?;
+            let mut cfg = TrafficConfig {
                 addr: args
                     .flag("addr")
                     .ok_or_else(|| CliError("missing --addr".into()))?
                     .to_string(),
                 op: args.flag("op").map(str::to_string),
-                ..LoadClientConfig::default()
+                requests: 200,
+                ..TrafficConfig::default()
             };
-            if args.has("requests") {
-                cfg.requests = args.usize_flag("requests")?.max(1);
-            }
-            if args.has("concurrency") {
-                cfg.concurrency = args.usize_flag("concurrency")?.max(1);
-            }
-            if args.has("pipeline") {
-                cfg.pipeline = args.usize_flag("pipeline")?.max(1);
-            }
-            if let Some(seed) = args.flag("seed") {
-                cfg.seed =
-                    seed.parse().map_err(|_| CliError("--seed must be an integer".into()))?;
-            }
+            traffic_flags(&args, &mut cfg)?;
             let r = cmd_load_client(&cfg)?;
             println!(
                 "{} requests against [{}] ({}x{}, kernel {}) over {} connections: \
@@ -412,6 +405,7 @@ fn run() -> Result<(), CliError> {
             println!("output: {} values, digest {:016x}", r.m * r.requests, r.digest);
         }
         "stats" => {
+            args.accepts("addr prometheus json watch")?;
             let mut cfg = StatsConfig {
                 addr: args
                     .flag("addr")
@@ -431,6 +425,7 @@ fn run() -> Result<(), CliError> {
             cmd_stats(&cfg)?;
         }
         "top" => {
+            args.accepts("addr once interval")?;
             let mut cfg = TopConfig {
                 addr: args
                     .flag("addr")
@@ -445,6 +440,7 @@ fn run() -> Result<(), CliError> {
             cmd_top(&cfg)?;
         }
         "model" => {
+            args.accepts("addr name version")?;
             let addr = args.flag("addr").ok_or_else(|| CliError("missing --addr".into()))?;
             match args.positional.first().map(String::as_str) {
                 Some("load") => {
@@ -484,25 +480,10 @@ fn run() -> Result<(), CliError> {
             }
         }
         "net-bench" => {
-            let mut cfg = NetBenchConfig::default();
-            if args.has("quick") {
-                cfg.requests = 400;
-            }
-            if args.has("requests") {
-                cfg.requests = args.usize_flag("requests")?.max(1);
-            }
-            if args.has("workers") {
-                cfg.workers = args.usize_flag("workers")?.max(1);
-            }
-            if args.has("concurrency") {
-                cfg.concurrency = args.usize_flag("concurrency")?.max(1);
-            }
-            if args.has("window-us") {
-                cfg.window = Duration::from_micros(args.usize_flag("window-us")? as u64);
-            }
-            if args.has("max-batch") {
-                cfg.max_batch_cols = args.usize_flag("max-batch")?.max(1);
-            }
+            args.accepts("requests workers concurrency window-us max-batch quick connections out")?;
+            let mut cfg = TrafficConfig::default();
+            traffic_flags(&args, &mut cfg)?;
+            daemon_flags(&args, &mut cfg.server)?;
             let sweep: Vec<usize> = match args.flag("connections") {
                 Some(list) => list
                     .split(',')
@@ -533,15 +514,16 @@ fn run() -> Result<(), CliError> {
                     r.p50_us,
                     r.p99_us,
                     r.requests,
-                    r.workers,
+                    r.server.expect("bench rows record their server").workers,
                     r.concurrency,
-                    r.kernel
+                    r.kernel.as_deref().unwrap_or("unknown")
                 );
             }
             let tax = rows[0].throughput_rps / rows[1].throughput_rps.max(1e-9);
             println!("wire tax (in-process/remote throughput): {tax:.2}x -> {}", out.display());
         }
         "bench" => {
+            args.accepts("dir tolerance skip requests")?;
             match args.positional.first().map(String::as_str) {
                 Some("check") => {}
                 other => {
@@ -597,6 +579,51 @@ fn run() -> Result<(), CliError> {
         }
         "help" | "--help" | "-h" => println!("{HELP}"),
         other => return Err(CliError(format!("unknown command '{other}'\n\n{HELP}"))),
+    }
+    Ok(())
+}
+
+/// Applies the traffic-shape flags a verb declared (`--quick` is the
+/// 400-request replay).
+fn traffic_flags(args: &Args, cfg: &mut TrafficConfig) -> Result<(), CliError> {
+    if args.has("quick") {
+        cfg.requests = 400;
+    }
+    if args.has("requests") {
+        cfg.requests = args.usize_flag("requests")?.max(1);
+    }
+    if args.has("concurrency") {
+        cfg.concurrency = args.usize_flag("concurrency")?.max(1);
+    }
+    if args.has("pipeline") {
+        cfg.pipeline = args.usize_flag("pipeline")?.max(1);
+    }
+    if let Some(seed) = args.flag("seed") {
+        cfg.seed = seed.parse().map_err(|_| CliError("--seed must be an integer".into()))?;
+    }
+    Ok(())
+}
+
+/// Applies the server tunables a verb declared.
+fn daemon_flags(args: &Args, cfg: &mut DaemonConfig) -> Result<(), CliError> {
+    if args.has("workers") {
+        cfg.workers = args.usize_flag("workers")?.max(1);
+    }
+    if args.has("window-us") {
+        cfg.window = Duration::from_micros(args.usize_flag("window-us")? as u64);
+    }
+    if args.has("max-batch") {
+        cfg.max_batch_cols = args.usize_flag("max-batch")?.max(1);
+    }
+    if args.has("queue-cap") {
+        cfg.queue_capacity = args.usize_flag("queue-cap")?.max(1);
+    }
+    cfg.pin_workers = args.has("pin-workers");
+    if args.has("io-threads") {
+        cfg.io_threads = args.usize_flag("io-threads")?.max(1);
+    }
+    if let Some(budget) = args.flag("mem-budget") {
+        cfg.mem_budget = Some(parse_mem_budget(budget)?);
     }
     Ok(())
 }

@@ -4,28 +4,21 @@
 //! `serve` is the daemon: load a `BIQM` artifact, register every linear op,
 //! and answer `BIQP` frames on a TCP address until SIGINT or stdin EOF,
 //! then drain and dump the final [`StatsSnapshot`] as JSON on stdout.
-//! `load-client` is the matching open-loop load generator: N connections
-//! replaying seeded single-column traffic, reporting throughput/p50/p99
-//! and an order-stable digest of every response. `net-bench` runs both
-//! ends over loopback and records the wire tax against an in-process
-//! replay of the same traffic (`results/BENCH_net.json`).
-//!
-//! **Digest parity.** For a `linear` artifact, `run_seeded(seed, len)`
-//! generates `X = gaussian_col(n, len)` and flattens `W·X` column-major.
-//! `load-client --seed S --requests len` generates the identical `X`,
-//! submits its columns as `len` independent requests, and concatenates the
-//! replies in column order — so its digest equals `biq run-model`'s for
-//! the same artifact and seed, on any backend, at any concurrency, under
-//! any `BIQ_KERNEL` level (batch packing and kernel levels are both
-//! bit-exact). The CI daemon smoke asserts exactly this.
+//! `load-client` replays seeded single-column traffic against it over N
+//! connections; `net-bench` runs both ends over loopback and records the
+//! wire tax against an in-process replay of the same traffic
+//! (`results/BENCH_net.json`). Both replay through
+//! [`crate::traffic`], whose digest equals `biq run-model`'s for a linear
+//! artifact — the CI daemon smoke asserts exactly this.
 
+use crate::traffic::{
+    drive, in_process_row, remote_row, synthetic_registry, write_record, Record, TrafficConfig,
+    TrafficReport, Transport,
+};
 use crate::CliError;
-use biq_artifact::{fnv1a64, Artifact};
-use biq_matrix::{ColMatrix, MatrixRng};
-use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod, Threading, WeightSource};
-use biq_serve::net::{NetClient, NetConfig, NetServer, Outcome, RejectCode};
+use biq_artifact::Artifact;
+use biq_serve::net::{NetConfig, NetServer};
 use biq_serve::{ModelRegistry, OpId, Server, ServerConfig, StatsSnapshot};
-use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -64,7 +57,8 @@ impl Default for DaemonConfig {
 }
 
 impl DaemonConfig {
-    fn server_config(&self) -> ServerConfig {
+    /// The inner batch server's configuration.
+    pub(crate) fn server_config(&self) -> ServerConfig {
         ServerConfig {
             workers: self.workers,
             queue_capacity: self.queue_capacity,
@@ -74,6 +68,14 @@ impl DaemonConfig {
             pin_workers: self.pin_workers,
             mem_budget: self.mem_budget,
         }
+    }
+
+    /// Starts a batch server over `registry` and binds its TCP front-end.
+    pub(crate) fn bind(&self, addr: &str, registry: ModelRegistry) -> Result<NetServer, CliError> {
+        let server = Server::start(registry, self.server_config());
+        let net_cfg = NetConfig { io_threads: self.io_threads, ..NetConfig::default() };
+        NetServer::bind_with(addr, server, net_cfg)
+            .map_err(|e| CliError(format!("bind {addr}: {e}")))
     }
 }
 
@@ -99,11 +101,7 @@ pub fn start_daemon(
     if ids.is_empty() {
         return Err(CliError(format!("{model:?}: artifact has no linear ops to serve")));
     }
-    let server = Server::start(registry, cfg.server_config());
-    let net_cfg = NetConfig { io_threads: cfg.io_threads, ..NetConfig::default() };
-    let net = NetServer::bind_with(addr, server, net_cfg)
-        .map_err(|e| CliError(format!("bind {addr}: {e}")))?;
-    Ok((net, ids))
+    Ok((cfg.bind(addr, registry)?, ids))
 }
 
 /// Daemon-side observability switches (`biq serve` flags beyond the
@@ -224,7 +222,7 @@ pub fn render_stats_line(metrics: &biq_obs::MetricsSnapshot) -> String {
     )
 }
 
-/// Blocks until stdin reaches EOF or SIGINT arrives (unix), invoking
+/// Blocks until stdin reaches EOF or SIGINT arrives, invoking
 /// `on_tick` once per 50 ms poll beat (the `--stats-every` hook).
 fn wait_for_shutdown(mut on_tick: impl FnMut()) {
     use std::io::Read;
@@ -257,7 +255,6 @@ fn wait_for_shutdown(mut on_tick: impl FnMut()) {
     }
 }
 
-#[cfg(unix)]
 mod sigint {
     //! Minimal std-only SIGINT latch: the handler only stores an atomic
     //! flag (async-signal-safe), the daemon loop polls it.
@@ -283,14 +280,6 @@ mod sigint {
 
     pub fn fired() -> bool {
         FIRED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sigint {
-    pub fn install() {}
-    pub fn fired() -> bool {
-        false
     }
 }
 
@@ -329,638 +318,73 @@ pub fn render_stats_json(stats: &StatsSnapshot) -> String {
     out
 }
 
-// ------------------------------------------------------------ load client
+// ------------------------------------------------- load client, net bench
 
-/// Parameters of one `biq load-client` run.
-#[derive(Clone, Debug)]
-pub struct LoadClientConfig {
-    /// Daemon address (`host:port`).
-    pub addr: String,
-    /// Op to target; `None` targets the first op the server lists.
-    pub op: Option<String>,
-    /// Single-column requests to send (also the seeded input's width —
-    /// matches `run-model --len` for digest parity).
-    pub requests: usize,
-    /// Concurrent connections.
-    pub concurrency: usize,
-    /// Input seed (matches `run-model --seed` for digest parity).
-    pub seed: u64,
-    /// Connection attempts before giving up (100 ms apart) — lets the
-    /// client start before the daemon finishes binding.
-    pub connect_attempts: usize,
-    /// In-flight requests per connection.
-    pub pipeline: usize,
-}
-
-impl Default for LoadClientConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:8790".into(),
-            op: None,
-            requests: 200,
-            concurrency: 4,
-            seed: 0,
-            connect_attempts: 50,
-            pipeline: 32,
-        }
-    }
-}
-
-/// Measured outcome of one load run.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// The targeted op.
-    pub op: String,
-    /// Its output size.
-    pub m: usize,
-    /// Its input size.
-    pub n: usize,
-    /// Requests answered (every one, exactly once).
-    pub requests: usize,
-    /// Connections used.
-    pub concurrency: usize,
-    /// First send → last reply.
-    pub makespan: Duration,
-    /// Requests per second over the makespan.
-    pub throughput_rps: f64,
-    /// Median send→reply latency (µs, exact over all requests).
-    pub p50_us: u64,
-    /// 99th-percentile send→reply latency (µs).
-    pub p99_us: u64,
-    /// `Busy` reject frames absorbed by retrying.
-    pub busy_retries: u64,
-    /// `fnv1a64` over every reply concatenated in request (column) order —
-    /// equals `run-model`'s digest for linear artifacts.
-    pub digest: u64,
-    /// The kernel level the server resolved for this op (from its
-    /// `biq_op_info` stats sample; `None` when the daemon predates the
-    /// `Stats` verb).
-    pub kernel: Option<String>,
-}
-
-fn connect_retry(addr: &str, attempts: usize) -> Result<NetClient, CliError> {
-    let mut last = None;
-    for _ in 0..attempts.max(1) {
-        match NetClient::connect(addr) {
-            Ok(c) => return Ok(c),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-    Err(CliError(format!("connect {addr}: {}", last.expect("at least one attempt"))))
-}
-
-/// One connection's share of the replay: pipelined sends with `Busy`
-/// retry. Returns `(column, reply)` pairs, per-request latencies (µs), and
-/// the busy-retry count.
-#[allow(clippy::type_complexity)]
-fn run_connection(
-    addr: &str,
-    op: &str,
-    x: &ColMatrix,
-    cols: std::ops::Range<usize>,
-    pipeline: usize,
-) -> Result<(Vec<(usize, Vec<f32>)>, Vec<u64>, u64), CliError> {
-    let mut client =
-        NetClient::connect(addr).map_err(|e| CliError(format!("connect {addr}: {e}")))?;
-    let mut pending: VecDeque<usize> = cols.collect();
-    let mut inflight: HashMap<u64, (usize, Instant)> = HashMap::new();
-    let mut results = Vec::with_capacity(pending.len());
-    let mut latencies = Vec::with_capacity(pending.len());
-    let mut busy = 0u64;
-    let window = pipeline.max(1);
-    while !(pending.is_empty() && inflight.is_empty()) {
-        while inflight.len() < window {
-            let Some(idx) = pending.pop_front() else { break };
-            let xcol = ColMatrix::from_vec(x.rows(), 1, x.col(idx).to_vec());
-            let id = client.send(op, &xcol).map_err(|e| CliError(format!("send: {e}")))?;
-            inflight.insert(id, (idx, Instant::now()));
-        }
-        let (id, outcome) = client.recv().map_err(|e| CliError(format!("recv: {e}")))?;
-        let (idx, t0) = inflight
-            .remove(&id)
-            .ok_or_else(|| CliError(format!("reply for unknown request {id}")))?;
-        match outcome {
-            Outcome::Reply(y) => {
-                latencies.push(t0.elapsed().as_micros() as u64);
-                results.push((idx, y.as_slice().to_vec()));
-            }
-            Outcome::Rejected { code: RejectCode::Busy, .. } => {
-                // The backpressure edge: requeue and let the server breathe
-                // when nothing else is in flight.
-                busy += 1;
-                pending.push_back(idx);
-                if inflight.is_empty() {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-            Outcome::Rejected { code, msg } => {
-                return Err(CliError(format!("request {idx} rejected ({code}): {msg}")));
-            }
-        }
-    }
-    Ok((results, latencies, busy))
-}
-
-/// `biq load-client`: replays `requests` seeded single-column queries over
-/// `concurrency` connections and reports throughput, latency quantiles,
-/// and the order-stable response digest.
-pub fn cmd_load_client(cfg: &LoadClientConfig) -> Result<LoadReport, CliError> {
-    // Probe connection: wait for the daemon, fetch the op table.
-    let mut probe = connect_retry(&cfg.addr, cfg.connect_attempts)?;
-    let ops = probe.list_ops().map_err(|e| CliError(format!("list ops: {e}")))?;
-    drop(probe);
-    // The op table lists versioned display names (`linear@2`); a bare
-    // `--op linear` targets the live version, a pinned `--op linear@1`
-    // must match exactly — the same resolution rule request frames get.
-    let matches = |listed: &str, asked: &str| {
-        listed == asked
-            || (listed.len() > asked.len()
-                && listed.starts_with(asked)
-                && listed.as_bytes()[asked.len()] == b'@')
-    };
-    let info = match &cfg.op {
-        Some(name) => ops.iter().find(|o| matches(&o.name, name)).ok_or_else(|| {
-            let known: Vec<&str> = ops.iter().map(|o| o.name.as_str()).collect();
-            CliError(format!("server has no op '{name}' (ops: {})", known.join(", ")))
-        })?,
-        None => ops.first().ok_or_else(|| CliError("server lists no ops".into()))?,
-    };
-    let (op_name, m, n) = (info.name.clone(), info.m as usize, info.n as usize);
-    // Request frames carry the name the caller asked for, not the resolved
-    // display name: a bare `--op linear` keeps tracking the live version
-    // even if a swap lands mid-run, while a pinned `--op linear@1` stays
-    // pinned. The listed entry only supplies shapes (and the report name).
-    let wire_name = cfg.op.clone().unwrap_or_else(|| op_name.clone());
-    let requests = cfg.requests.max(1);
-    let concurrency = cfg.concurrency.clamp(1, requests);
-
-    // The identical input `run_seeded` would build for a linear model:
-    // digest parity comes from this line.
-    let x = MatrixRng::seed_from(cfg.seed).gaussian_col(n, requests, 0.0, 1.0);
-
-    let t0 = Instant::now();
-    let per = requests / concurrency;
-    let extra = requests % concurrency;
-    let shares = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(concurrency);
-        let mut start = 0usize;
-        for c in 0..concurrency {
-            let take = per + usize::from(c < extra);
-            let range = start..start + take;
-            start += take;
-            let (addr, op, x) = (&cfg.addr, wire_name.as_str(), &x);
-            let pipeline = cfg.pipeline;
-            handles.push(s.spawn(move || run_connection(addr, op, x, range, pipeline)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load connection panicked"))
-            .collect::<Result<Vec<_>, CliError>>()
-    })?;
-    let makespan = t0.elapsed();
-
-    let mut replies: Vec<Option<Vec<f32>>> = vec![None; requests];
-    let mut latencies = Vec::with_capacity(requests);
-    let mut busy_retries = 0u64;
-    for (results, lats, busy) in shares {
-        for (idx, y) in results {
-            if replies[idx].replace(y).is_some() {
-                return Err(CliError(format!("request {idx} answered twice")));
-            }
-        }
-        latencies.extend(lats);
-        busy_retries += busy;
-    }
-    let mut flat = Vec::with_capacity(m * requests);
-    for (idx, y) in replies.into_iter().enumerate() {
-        let y = y.ok_or_else(|| CliError(format!("request {idx} never answered")))?;
-        flat.extend_from_slice(&y);
-    }
-    // One `Stats` round trip to learn which kernel level actually served
-    // the run. Best-effort: an older daemon closes the connection instead.
-    let kernel =
-        NetClient::connect(&cfg.addr).ok().and_then(|mut c| c.stats().ok()).and_then(|samples| {
-            let metrics = biq_obs::MetricsSnapshot { samples };
-            let info = metrics.find("biq_op_info", "op", &op_name)?;
-            Some(info.label("kernel")?.to_string())
-        });
-    let digest = fnv1a64(&flat.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
-    latencies.sort_unstable();
-    let quantile = |p: f64| -> u64 {
-        let rank = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
-    Ok(LoadReport {
-        op: op_name,
-        m,
-        n,
-        requests,
-        concurrency,
-        makespan,
-        throughput_rps: requests as f64 / makespan.as_secs_f64().max(1e-9),
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
-        busy_retries,
-        digest,
-        kernel,
-    })
-}
-
-// -------------------------------------------------------------- net bench
-
-/// Parameters of one `biq net-bench` run.
-#[derive(Clone, Copy, Debug)]
-pub struct NetBenchConfig {
-    /// Weight rows `m`.
-    pub rows: usize,
-    /// Weight cols `n`.
-    pub cols: usize,
-    /// Single-column requests per mode.
-    pub requests: usize,
-    /// Worker threads of the batch server.
-    pub workers: usize,
-    /// Submitter threads (in-process) / connections (remote).
-    pub concurrency: usize,
-    /// Batch window.
-    pub window: Duration,
-    /// Packed-width cap.
-    pub max_batch_cols: usize,
-    /// In-flight requests per submitter/connection.
-    pub pipeline: usize,
-}
-
-impl Default for NetBenchConfig {
-    fn default() -> Self {
-        Self {
-            rows: 512,
-            cols: 512,
-            requests: 2000,
-            workers: 2,
-            concurrency: 4,
-            window: Duration::from_micros(200),
-            max_batch_cols: 16,
-            pipeline: 32,
-        }
-    }
-}
-
-/// Measured outcome of one net-bench mode.
-#[derive(Clone, Debug)]
-pub struct NetBenchRow {
-    /// `"in-process"` or `"remote"`.
-    pub mode: &'static str,
-    /// Weight rows.
-    pub m: usize,
-    /// Weight cols.
-    pub n: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Submitters / connections.
-    pub concurrency: usize,
-    /// Window (µs).
-    pub window_us: u128,
-    /// Packed-width cap.
-    pub max_batch_cols: usize,
-    /// The kernel level the op pinned.
-    pub kernel: &'static str,
-    /// Requests per second over the makespan.
-    pub throughput_rps: f64,
-    /// Median send→reply latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile send→reply latency (µs).
-    pub p99_us: u64,
-    /// Idle connections held open during the replay (`"sweep"` rows only;
-    /// `None` for the canonical in-process/remote pair).
-    pub connections: Option<usize>,
+/// `biq load-client`: replays `cfg.requests` seeded single-column queries
+/// over `cfg.concurrency` connections to the daemon at `cfg.addr`.
+pub fn cmd_load_client(cfg: &TrafficConfig) -> Result<TrafficReport, CliError> {
+    drive(Transport::Tcp(&cfg.addr), cfg)
 }
 
 /// The process's open-file soft limit (`RLIMIT_NOFILE`), if knowable —
 /// the connection sweep refuses points that would exhaust it.
 pub fn nofile_limit() -> Option<u64> {
-    #[cfg(unix)]
-    {
-        #[repr(C)]
-        struct Rlimit {
-            cur: u64,
-            max: u64,
-        }
-        extern "C" {
-            fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        }
-        const RLIMIT_NOFILE: i32 = 7;
-        let mut lim = Rlimit { cur: 0, max: 0 };
-        // SAFETY: plain struct out-param, checked return.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } == 0 {
-            return Some(lim.cur);
-        }
-        None
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
     }
-    #[cfg(not(unix))]
-    {
-        None
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
     }
+    const RLIMIT_NOFILE: i32 = 7;
+    let mut lim = Rlimit { cur: 0, max: 0 };
+    // SAFETY: plain struct out-param, checked return.
+    (unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } == 0).then_some(lim.cur)
 }
 
-fn bench_registry(cfg: &NetBenchConfig) -> (ModelRegistry, OpId) {
-    let mut g = MatrixRng::seed_from(0x5e7e);
-    let signs = g.signs(cfg.rows, cfg.cols);
-    let plan = PlanBuilder::new(cfg.rows, cfg.cols)
-        .batch_hint(cfg.max_batch_cols)
-        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-        .threading(Threading::Serial)
-        .build();
-    let mut registry = ModelRegistry::new();
-    let id = registry.register("synthetic", &plan, WeightSource::Signs(&signs));
-    (registry, id)
-}
-
-fn daemon_config(cfg: &NetBenchConfig) -> DaemonConfig {
-    DaemonConfig {
-        workers: cfg.workers,
-        window: cfg.window,
-        max_batch_cols: cfg.max_batch_cols,
-        queue_capacity: cfg.requests.max(16),
-        pin_workers: false,
-        io_threads: NetConfig::default().io_threads,
-        mem_budget: None,
-    }
-}
-
-/// In-process replay with the same traffic shape as the remote run: the
-/// trace is split across `concurrency` submitter threads, each keeping at
-/// most `pipeline` tickets in flight (FIFO wait — the same head-of-line
-/// discipline a pipelining connection has), so the remote row differs only
-/// by the wire.
-fn replay_in_process(cfg: &NetBenchConfig) -> Result<NetBenchRow, CliError> {
-    let (registry, id) = bench_registry(cfg);
-    let server = Server::start(registry, daemon_config(cfg).server_config());
-    let kernel = server.registry().op(id).expect("bench op is live").plan().kernel.level().name();
-    let client = server.client();
-    let n = cfg.cols;
-    let x = MatrixRng::seed_from(1).gaussian_col(n, cfg.requests, 0.0, 1.0);
-    let concurrency = cfg.concurrency.clamp(1, cfg.requests);
-    let per = cfg.requests / concurrency;
-    let extra = cfg.requests % concurrency;
-    let t0 = Instant::now();
-    let all_latencies: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(concurrency);
-        let mut start = 0usize;
-        for c in 0..concurrency {
-            let take = per + usize::from(c < extra);
-            let range = start..start + take;
-            start += take;
-            let (client, x) = (client.clone(), &x);
-            let pipeline = cfg.pipeline.max(1);
-            handles.push(s.spawn(move || -> Result<Vec<u64>, CliError> {
-                let mut lats = Vec::with_capacity(range.len());
-                let mut inflight: VecDeque<(Instant, biq_serve::Ticket)> = VecDeque::new();
-                for idx in range {
-                    if inflight.len() == pipeline {
-                        let (sent, ticket) = inflight.pop_front().expect("non-empty");
-                        ticket.wait().map_err(|e| CliError(format!("request failed: {e}")))?;
-                        lats.push(sent.elapsed().as_micros() as u64);
-                    }
-                    let xcol = ColMatrix::from_vec(x.rows(), 1, x.col(idx).to_vec());
-                    let ticket = client
-                        .submit(id, xcol)
-                        .map_err(|e| CliError(format!("submit failed: {e}")))?;
-                    inflight.push_back((Instant::now(), ticket));
-                }
-                for (sent, ticket) in inflight {
-                    ticket.wait().map_err(|e| CliError(format!("request failed: {e}")))?;
-                    lats.push(sent.elapsed().as_micros() as u64);
-                }
-                Ok(lats)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("submitter panicked"))
-            .collect::<Result<Vec<_>, CliError>>()
-    })?;
-    let makespan = t0.elapsed();
-    server.shutdown();
-    let mut latencies: Vec<u64> = all_latencies.into_iter().flatten().collect();
-    latencies.sort_unstable();
-    let quantile = |p: f64| -> u64 {
-        let rank = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
-    Ok(NetBenchRow {
-        mode: "in-process",
-        m: cfg.rows,
-        n,
-        requests: cfg.requests,
-        workers: cfg.workers,
-        concurrency,
-        window_us: cfg.window.as_micros(),
-        max_batch_cols: cfg.max_batch_cols,
-        kernel,
-        throughput_rps: cfg.requests as f64 / makespan.as_secs_f64().max(1e-9),
-        p50_us: quantile(0.50),
-        p99_us: quantile(0.99),
-        connections: None,
-    })
-}
-
-/// Loopback replay of the same trace through a real `NetServer`.
-fn replay_remote(cfg: &NetBenchConfig) -> Result<NetBenchRow, CliError> {
-    let (registry, id) = bench_registry(cfg);
-    let server = Server::start(registry, daemon_config(cfg).server_config());
-    let kernel = server.registry().op(id).expect("bench op is live").plan().kernel.level().name();
-    let net = NetServer::bind("127.0.0.1:0", server)
-        .map_err(|e| CliError(format!("bind loopback: {e}")))?;
-    let addr = net.local_addr().to_string();
-    let report = cmd_load_client(&LoadClientConfig {
-        addr,
-        op: Some("synthetic".into()),
-        requests: cfg.requests,
-        concurrency: cfg.concurrency,
-        seed: 1,
-        connect_attempts: 10,
-        pipeline: cfg.pipeline,
-    })?;
-    net.shutdown();
-    Ok(NetBenchRow {
-        mode: "remote",
-        m: cfg.rows,
-        n: cfg.cols,
-        requests: report.requests,
-        workers: cfg.workers,
-        concurrency: report.concurrency,
-        window_us: cfg.window.as_micros(),
-        max_batch_cols: cfg.max_batch_cols,
-        kernel,
-        throughput_rps: report.throughput_rps,
-        p50_us: report.p50_us,
-        p99_us: report.p99_us,
-        connections: None,
-    })
-}
-
-/// One connection-sweep point: the standard remote replay measured while
-/// `idle` extra connections are held open against the same daemon — the
-/// C10k probe. Under the reactor, held-open idle sockets are registered
-/// fds, so live throughput should barely move as `idle` grows; the old
-/// thread-per-connection design paid two parked threads each. After the
-/// replay, every idle connection is probed for liveness (a dropped one
-/// reads EOF) — holding the herd is part of the contract, not a side
-/// effect.
-fn replay_remote_idle(cfg: &NetBenchConfig, idle: usize) -> Result<NetBenchRow, CliError> {
-    let (registry, id) = bench_registry(cfg);
-    let server = Server::start(registry, daemon_config(cfg).server_config());
-    let kernel = server.registry().op(id).expect("bench op is live").plan().kernel.level().name();
-    let net = NetServer::bind("127.0.0.1:0", server)
-        .map_err(|e| CliError(format!("bind loopback: {e}")))?;
-    let addr = net.local_addr();
-    let held: Vec<std::net::TcpStream> = (0..idle)
-        .map(|i| {
-            std::net::TcpStream::connect(addr)
-                .map_err(|e| CliError(format!("idle connection {i}/{idle}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    // Let the accept/register burst drain before measuring: the row claims
-    // a replay with the herd *held*, which is the reactor's steady state —
-    // thousands of epoll registrations time-sharing the core with the load
-    // would measure the storm instead.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let open: i64 = net
-            .metrics()
-            .samples
-            .iter()
-            .filter(|s| s.name == "biq_net_connections_open")
-            .filter_map(|s| match s.value {
-                biq_obs::MetricValue::Gauge(g) => Some(g),
-                _ => None,
-            })
-            .sum();
-        if open >= idle as i64 {
-            break;
-        }
-        if std::time::Instant::now() > deadline {
-            return Err(CliError(format!("only {open} of {idle} idle connections registered")));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let report = cmd_load_client(&LoadClientConfig {
-        addr: addr.to_string(),
-        op: Some("synthetic".into()),
-        requests: cfg.requests,
-        concurrency: cfg.concurrency,
-        seed: 1,
-        connect_attempts: 10,
-        pipeline: cfg.pipeline,
-    })?;
-    // The idle-hold probe: every held connection must still be alive —
-    // nonblocking read sees no data (WouldBlock), never EOF or reset.
-    for (i, conn) in held.iter().enumerate() {
-        conn.set_nonblocking(true).map_err(|e| CliError(format!("probe {i}: {e}")))?;
-        let mut probe = [0u8; 1];
-        use std::io::Read;
-        match (&mut &*conn).read(&mut probe) {
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Ok(0) => return Err(CliError(format!("idle connection {i} was dropped (EOF)"))),
-            Ok(_) => return Err(CliError(format!("idle connection {i} received stray bytes"))),
-            Err(e) => return Err(CliError(format!("idle connection {i} errored: {e}"))),
-        }
-    }
-    drop(held);
-    net.shutdown();
-    Ok(NetBenchRow {
-        mode: "sweep",
-        m: cfg.rows,
-        n: cfg.cols,
-        requests: report.requests,
-        workers: cfg.workers,
-        concurrency: report.concurrency,
-        window_us: cfg.window.as_micros(),
-        max_batch_cols: cfg.max_batch_cols,
-        kernel,
-        throughput_rps: report.throughput_rps,
-        p50_us: report.p50_us,
-        p99_us: report.p99_us,
-        connections: Some(idle),
-    })
-}
-
-fn render_net_json(rows: &[NetBenchRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        // Sweep rows carry their extra key after the shared shape keys, so
-        // the canonical pair (always first) keeps the committed key set.
-        let connections = match r.connections {
-            Some(c) => format!(", \"connections\": {c}"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            concat!(
-                "  {{\"mode\": \"{mode}\", \"op\": \"synthetic\", \"m\": {m}, \"n\": {n}, ",
-                "\"b\": 1, \"requests\": {req}, \"workers\": {workers}, ",
-                "\"concurrency\": {conc}, \"window_us\": {window}, ",
-                "\"max_batch_cols\": {cap}, \"kernel\": \"{kernel}\", ",
-                "\"throughput_rps\": {rps:.1}, \"latency_p50_us\": {p50}, ",
-                "\"latency_p99_us\": {p99}{connections}}}{comma}\n"
-            ),
-            mode = r.mode,
-            connections = connections,
-            m = r.m,
-            n = r.n,
-            req = r.requests,
-            workers = r.workers,
-            conc = r.concurrency,
-            window = r.window_us,
-            cap = r.max_batch_cols,
-            kernel = r.kernel,
-            rps = r.throughput_rps,
-            p50 = r.p50_us,
-            p99 = r.p99_us,
-            comma = if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// `biq net-bench`: measures the wire tax — the same single-column replay
-/// against the same batch server, in-process vs through a loopback TCP
-/// round trip — and writes the JSON record (in-process row first, remote
-/// second, then one `"sweep"` row per requested idle-connection count).
-/// Sweep points that would exhaust the open-file limit are skipped with a
-/// note instead of failing the run.
-pub fn cmd_net_bench(
-    cfg: &NetBenchConfig,
+/// The `net-bench` rows: the same seeded replay against the same
+/// synthetic batch server, in process and through a loopback TCP round
+/// trip, then one `sweep` row per idle-connection count in `sweep`. Sweep
+/// points that would exhaust the open-file limit are skipped with a note.
+pub fn net_bench_rows(
+    cfg: &TrafficConfig,
     sweep: &[usize],
-    out_path: &Path,
-) -> Result<Vec<NetBenchRow>, CliError> {
-    let mut rows = vec![replay_in_process(cfg)?, replay_remote(cfg)?];
+) -> Result<Vec<TrafficReport>, CliError> {
+    let server = DaemonConfig { queue_capacity: cfg.requests.max(16), ..cfg.server };
+    let traffic = TrafficConfig { op: Some("synthetic".into()), ..cfg.clone() };
+    let registry = || synthetic_registry(cfg.rows, cfg.cols, server.max_batch_cols);
+    let mut rows = vec![
+        in_process_row(registry(), &server, &traffic)?,
+        remote_row(registry(), &server, &traffic, 0)?,
+    ];
     for &idle in sweep {
         // Both ends of every socket live in this process: each idle
         // connection costs two fds, each active one two more, plus the
         // listener, stdio, and headroom for everything else.
         let need = (idle + cfg.concurrency) as u64 * 2 + 64;
-        if let Some(limit) = nofile_limit() {
-            if need > limit {
-                eprintln!(
-                    "note: skipping sweep point connections={idle} \
-                     (needs ~{need} fds, RLIMIT_NOFILE is {limit})"
-                );
-                continue;
-            }
+        if let Some(limit) = nofile_limit().filter(|&limit| need > limit) {
+            eprintln!(
+                "note: skipping sweep point connections={idle} \
+                 (needs ~{need} fds, RLIMIT_NOFILE is {limit})"
+            );
+            continue;
         }
-        rows.push(replay_remote_idle(cfg, idle)?);
+        let row = remote_row(registry(), &server, &traffic, idle)?;
+        rows.push(TrafficReport { mode: "sweep", connections: Some(idle), ..row });
     }
-    if let Some(dir) = out_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(out_path, render_net_json(&rows))?;
+    Ok(rows)
+}
+
+/// `biq net-bench`: measures the wire tax ([`net_bench_rows`]) and writes
+/// the JSON record (in-process row first, remote second, then the sweep).
+pub fn cmd_net_bench(
+    cfg: &TrafficConfig,
+    sweep: &[usize],
+    out_path: &Path,
+) -> Result<Vec<TrafficReport>, CliError> {
+    let rows = net_bench_rows(cfg, sweep)?;
+    write_record(out_path, &rows, Record::Net)?;
     Ok(rows)
 }
 
@@ -968,6 +392,7 @@ pub fn cmd_net_bench(
 mod tests {
     use super::*;
     use crate::model_cmds::{cmd_compile, cmd_run_model, CompileConfig};
+    use biq_artifact::fnv1a64;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("biq_cli_net_{name}"))
@@ -985,13 +410,13 @@ mod tests {
         cmd_compile(&cfg, &path).unwrap();
         let (net, ids) = start_daemon(&path, "127.0.0.1:0", &DaemonConfig::default()).unwrap();
         assert_eq!(ids[0].0, "linear");
-        let report = cmd_load_client(&LoadClientConfig {
+        let report = cmd_load_client(&TrafficConfig {
             addr: net.local_addr().to_string(),
             op: Some("linear".into()),
             requests: 60,
             concurrency: 3,
             seed: 9,
-            ..LoadClientConfig::default()
+            ..TrafficConfig::default()
         })
         .unwrap();
         let (_, reference) = cmd_run_model(&path, 9, 60).unwrap();
@@ -1008,13 +433,13 @@ mod tests {
 
     #[test]
     fn net_bench_smoke_writes_both_modes() {
-        let cfg = NetBenchConfig {
+        let cfg = TrafficConfig {
             rows: 32,
             cols: 32,
             requests: 24,
-            workers: 1,
             concurrency: 2,
-            ..NetBenchConfig::default()
+            server: DaemonConfig { workers: 1, ..DaemonConfig::default() },
+            ..TrafficConfig::default()
         };
         let path = tmp("bench.json");
         let rows = cmd_net_bench(&cfg, &[8], &path).unwrap();

@@ -8,225 +8,62 @@
 //! (`max_batch_cols ≥ 4`, one build amortised across the packed bucket).
 //! Results append to `results/BENCH_serve.json`.
 
+use crate::net_cmds::DaemonConfig;
+use crate::traffic::{
+    artifact_registry, in_process_row, synthetic_registry, write_record, Record, TrafficConfig,
+    TrafficReport,
+};
 use crate::CliError;
 use biq_artifact::Artifact;
-use biq_matrix::{ColMatrix, MatrixRng};
-use biq_runtime::{BackendSpec, PlanBuilder, QuantMethod, Threading, WeightSource};
-use biq_serve::{ModelRegistry, OpId, Server, ServerConfig};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Parameters of one serve-bench run.
-#[derive(Clone, Copy, Debug)]
-pub struct ServeBenchConfig {
-    /// Weight rows `m`.
-    pub rows: usize,
-    /// Weight cols `n`.
-    pub cols: usize,
-    /// Number of single-column requests to replay per mode.
-    pub requests: usize,
-    /// Worker threads per server.
-    pub workers: usize,
-    /// Batch window for the batched mode.
-    pub window: Duration,
-    /// Packed-width cap for the batched mode.
-    pub max_batch_cols: usize,
-    /// Pause between submissions (0 = saturate).
-    pub gap: Duration,
-    /// Pin worker threads to cores (`--pin-workers`).
-    pub pin_workers: bool,
-}
-
-impl Default for ServeBenchConfig {
-    fn default() -> Self {
-        Self {
-            rows: 512,
-            cols: 512,
-            requests: 2000,
-            workers: 2,
-            window: Duration::from_micros(200),
-            max_batch_cols: 16,
-            gap: Duration::ZERO,
-            pin_workers: false,
-        }
-    }
-}
-
-/// Measured outcome of one mode.
-#[derive(Clone, Debug)]
-pub struct ServeBenchRow {
-    /// `"unbatched"` or `"batched"`.
-    pub mode: &'static str,
-    /// Name of the op the replay targeted (`synthetic`, or the artifact
-    /// layer name under `--model`).
-    pub op_name: String,
-    /// Weight rows of the targeted op.
-    pub m: usize,
-    /// Weight cols of the targeted op.
-    pub n: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Window used (µs).
-    pub window_us: u128,
-    /// Packed-width cap used.
-    pub max_batch_cols: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Completed requests per second over the replay makespan.
-    pub throughput_rps: f64,
-    /// Median submit→reply latency (µs).
-    pub p50_us: u128,
-    /// 99th-percentile submit→reply latency (µs).
-    pub p99_us: u128,
-    /// Mean packed batch width the batcher achieved.
-    pub mean_batch_cols: f64,
-    /// The kernel level the op's plan pinned (stable lowercase name).
-    pub kernel: &'static str,
-}
-
-/// Replays `cfg.requests` single-column queries against a fresh server in
-/// the given batching mode and reports the measured row. With `model`,
-/// the registry boots from the artifact (no fp32 weights, no
-/// re-quantization) and the replay targets its first registered op;
-/// otherwise a synthetic 1-bit operator is registered.
-fn replay(
-    cfg: &ServeBenchConfig,
-    artifact: Option<&Artifact>,
-    batched: bool,
-) -> Result<ServeBenchRow, CliError> {
-    let mut g = MatrixRng::seed_from(0x5e7e);
-    let (window, max_cols) =
-        if batched { (cfg.window, cfg.max_batch_cols) } else { (Duration::ZERO, 1) };
-    let mut registry = ModelRegistry::new();
-    let (op, op_name): (OpId, String) = match artifact {
-        Some(artifact) => {
-            let (_model, ids) = registry
-                .load_artifact(artifact)
-                .map_err(|e| CliError(format!("load artifact: {e}")))?;
-            let (name, id) =
-                ids.into_iter().next().ok_or_else(|| CliError("artifact has no layers".into()))?;
-            (id, name)
-        }
-        None => {
-            let signs = g.signs(cfg.rows, cfg.cols);
-            let plan = PlanBuilder::new(cfg.rows, cfg.cols)
-                .batch_hint(max_cols)
-                .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-                .threading(Threading::Serial)
-                .build();
-            (
-                registry.register("serve_bench", &plan, WeightSource::Signs(&signs)),
-                "synthetic".into(),
-            )
-        }
-    };
-    let (m, n) = {
-        let r = registry.get(op);
-        (r.op().output_size(), r.op().input_size())
-    };
-    let server = Server::start(
-        registry,
-        ServerConfig {
-            workers: cfg.workers,
-            batch_window: window,
-            max_batch_cols: max_cols,
-            queue_capacity: cfg.requests.max(16),
-            job_capacity: (cfg.workers * 2).max(2),
-            pin_workers: cfg.pin_workers,
-            mem_budget: None,
-        },
-    );
-    let client = server.client();
-
-    // Pre-generate the open-loop trace so generation cost stays out of the
-    // measured makespan.
-    let trace: Vec<ColMatrix> = (0..cfg.requests).map(|_| g.gaussian_col(n, 1, 0.0, 1.0)).collect();
-
-    let t0 = Instant::now();
-    let mut tickets = Vec::with_capacity(trace.len());
-    for x in trace {
-        tickets.push(client.submit(op, x).map_err(|e| CliError(format!("submit failed: {e}")))?);
-        if !cfg.gap.is_zero() {
-            std::thread::sleep(cfg.gap);
-        }
-    }
-    for t in tickets {
-        t.wait().map_err(|e| CliError(format!("request failed: {e}")))?;
-    }
-    let makespan = t0.elapsed();
-    let snap = server.shutdown();
-    let op_stats = &snap.ops[0];
-    let kernel = op_stats.kernel.name();
-    Ok(ServeBenchRow {
-        mode: if batched { "batched" } else { "unbatched" },
-        op_name,
-        m,
-        n,
-        requests: cfg.requests,
-        window_us: window.as_micros(),
-        max_batch_cols: max_cols,
-        workers: cfg.workers,
-        throughput_rps: cfg.requests as f64 / makespan.as_secs_f64().max(1e-9),
-        p50_us: op_stats.latency_p50.as_micros(),
-        p99_us: op_stats.latency_p99.as_micros(),
-        mean_batch_cols: op_stats.mean_batch_cols,
-        kernel,
-    })
-}
-
-fn render_json(rows: &[ServeBenchRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "  {{\"mode\": \"{mode}\", \"op\": \"{op}\", \"m\": {m}, \"n\": {n}, \"b\": 1, ",
-                "\"requests\": {req}, \"workers\": {workers}, \"window_us\": {window}, ",
-                "\"max_batch_cols\": {cap}, \"kernel\": \"{kernel}\", ",
-                "\"throughput_rps\": {rps:.1}, ",
-                "\"latency_p50_us\": {p50}, \"latency_p99_us\": {p99}, ",
-                "\"mean_batch_cols\": {mean:.2}}}{comma}\n"
-            ),
-            mode = r.mode,
-            op = r.op_name,
-            m = r.m,
-            n = r.n,
-            req = r.requests,
-            workers = r.workers,
-            window = r.window_us,
-            cap = r.max_batch_cols,
-            kernel = r.kernel,
-            rps = r.throughput_rps,
-            p50 = r.p50_us,
-            p99 = r.p99_us,
-            mean = r.mean_batch_cols,
-            comma = if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// `biq serve-bench`: runs the unbatched and batched replays — against a
-/// loaded model artifact when `model` is given, else a synthetic operator
-/// — writes the JSON record, and returns the measured rows (unbatched
-/// first).
-pub fn cmd_serve_bench(
-    cfg: &ServeBenchConfig,
+/// The `serve-bench` rows, unbatched first: each mode starts a fresh
+/// server — over the artifact's first op when `model` is given (no fp32
+/// weights, no re-quantization), else over the synthetic 1-bit op — and
+/// puts the whole trace in flight at once on one lane, the open-loop
+/// burst the batcher packs.
+pub fn serve_bench_rows(
+    cfg: &TrafficConfig,
     model: Option<&Path>,
-    out_path: &Path,
-) -> Result<Vec<ServeBenchRow>, CliError> {
+) -> Result<Vec<TrafficReport>, CliError> {
     // Open and validate the artifact once; both replays build their own
     // registry/server from the shared, already-checksummed buffer.
     let artifact = model
         .map(|path| Artifact::open(path).map_err(|e| CliError(format!("{path:?}: {e}"))))
         .transpose()?;
-    let rows = vec![replay(cfg, artifact.as_ref(), false)?, replay(cfg, artifact.as_ref(), true)?];
-    if let Some(dir) = out_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(out_path, render_json(&rows))?;
+    let batched = DaemonConfig { queue_capacity: cfg.requests.max(16), ..cfg.server };
+    let unbatched = DaemonConfig { window: Duration::ZERO, max_batch_cols: 1, ..batched };
+    [("unbatched", unbatched), ("batched", batched)]
+        .into_iter()
+        .map(|(mode, server)| {
+            let (registry, op) = match &artifact {
+                Some(artifact) => artifact_registry(artifact)?,
+                None => (
+                    synthetic_registry(cfg.rows, cfg.cols, server.max_batch_cols),
+                    "synthetic".to_string(),
+                ),
+            };
+            let traffic = TrafficConfig {
+                op: Some(op),
+                concurrency: 1,
+                pipeline: cfg.requests,
+                ..cfg.clone()
+            };
+            Ok(TrafficReport { mode, ..in_process_row(registry, &server, &traffic)? })
+        })
+        .collect()
+}
+
+/// `biq serve-bench`: runs [`serve_bench_rows`], writes the JSON record,
+/// and returns the rows.
+pub fn cmd_serve_bench(
+    cfg: &TrafficConfig,
+    model: Option<&Path>,
+    out_path: &Path,
+) -> Result<Vec<TrafficReport>, CliError> {
+    let rows = serve_bench_rows(cfg, model)?;
+    write_record(out_path, &rows, Record::Serve)?;
     Ok(rows)
 }
 
@@ -238,14 +75,17 @@ mod tests {
     fn serve_bench_smoke_writes_json_and_batches_win_shape() {
         // Tiny smoke configuration: correctness of the plumbing, not perf
         // (debug builds invert every speed relationship).
-        let cfg = ServeBenchConfig {
+        let cfg = TrafficConfig {
             rows: 64,
             cols: 64,
             requests: 40,
-            workers: 2,
-            window: Duration::from_micros(100),
-            max_batch_cols: 8,
-            ..ServeBenchConfig::default()
+            server: DaemonConfig {
+                workers: 2,
+                window: Duration::from_micros(100),
+                max_batch_cols: 8,
+                ..DaemonConfig::default()
+            },
+            ..TrafficConfig::default()
         };
         let path = std::env::temp_dir().join("biq_serve_bench_smoke.json");
         let rows = cmd_serve_bench(&cfg, None, &path).unwrap();
@@ -270,17 +110,20 @@ mod tests {
             ..CompileConfig::default()
         };
         cmd_compile(&compile_cfg, &model_path).unwrap();
-        let cfg = ServeBenchConfig {
+        let cfg = TrafficConfig {
             requests: 30,
-            workers: 2,
-            window: Duration::from_micros(100),
-            max_batch_cols: 4,
-            ..ServeBenchConfig::default()
+            server: DaemonConfig {
+                workers: 2,
+                window: Duration::from_micros(100),
+                max_batch_cols: 4,
+                ..DaemonConfig::default()
+            },
+            ..TrafficConfig::default()
         };
         let json_path = std::env::temp_dir().join("biq_serve_bench_model.json");
         let rows = cmd_serve_bench(&cfg, Some(&model_path), &json_path).unwrap();
         // First artifact op is lstm.w_ih: 4·hidden × input.
-        assert_eq!(rows[0].op_name, "lstm.w_ih");
+        assert_eq!(rows[0].op, "lstm.w_ih");
         assert_eq!((rows[0].m, rows[0].n), (64, 24));
         assert!(rows.iter().all(|r| r.throughput_rps > 0.0));
         let json = std::fs::read_to_string(&json_path).unwrap();

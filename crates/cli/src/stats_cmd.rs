@@ -9,9 +9,8 @@
 //! snapshots ([`MetricsSnapshot::delta_since`], the same path the
 //! daemon's `History` series ring uses), not lifetime aggregates.
 
-use crate::CliError;
+use crate::{connect_retry, CliError};
 use biq_obs::{op_points, MetricsSnapshot, OpPoint};
-use biq_serve::net::NetClient;
 use std::time::{Duration, Instant};
 
 /// Output shape of `biq stats`.
@@ -50,21 +49,10 @@ impl Default for StatsConfig {
 
 /// One `Stats` round trip against a live daemon.
 pub fn fetch_stats(addr: &str, connect_attempts: usize) -> Result<MetricsSnapshot, CliError> {
-    let mut last = None;
-    for _ in 0..connect_attempts.max(1) {
-        match NetClient::connect(addr) {
-            Ok(mut client) => {
-                let samples =
-                    client.stats().map_err(|e| CliError(format!("stats query {addr}: {e}")))?;
-                return Ok(MetricsSnapshot { samples });
-            }
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-    Err(CliError(format!("connect {addr}: {}", last.expect("at least one attempt"))))
+    let samples = connect_retry(addr, connect_attempts)?
+        .stats()
+        .map_err(|e| CliError(format!("stats query {addr}: {e}")))?;
+    Ok(MetricsSnapshot { samples })
 }
 
 /// Renders one snapshot in the configured format.
@@ -138,7 +126,8 @@ pub fn cmd_stats(cfg: &StatsConfig) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::model_cmds::{cmd_compile, CompileConfig};
-    use crate::net_cmds::{cmd_load_client, start_daemon, DaemonConfig, LoadClientConfig};
+    use crate::net_cmds::{cmd_load_client, start_daemon, DaemonConfig};
+    use crate::traffic::TrafficConfig;
 
     #[test]
     fn stats_verb_reports_load_counters_live() {
@@ -152,11 +141,11 @@ mod tests {
         cmd_compile(&cfg, &path).unwrap();
         let (net, ids) = start_daemon(&path, "127.0.0.1:0", &DaemonConfig::default()).unwrap();
         let addr = net.local_addr().to_string();
-        let report = cmd_load_client(&LoadClientConfig {
+        let report = cmd_load_client(&TrafficConfig {
             addr: addr.clone(),
             requests: 40,
             concurrency: 2,
-            ..LoadClientConfig::default()
+            ..TrafficConfig::default()
         })
         .unwrap();
         assert_eq!(report.requests, 40);

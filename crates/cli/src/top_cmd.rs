@@ -11,7 +11,7 @@
 //! single plain-text snapshot and exits, which is what the CI smoke greps
 //! (no TTY required).
 
-use crate::CliError;
+use crate::{connect_retry, CliError};
 use biq_obs::{render_dashboard, MetricValue, MetricsSnapshot};
 use biq_serve::net::NetClient;
 use std::io::Write;
@@ -99,20 +99,6 @@ pub fn render_net_line(metrics: &MetricsSnapshot) -> String {
     )
 }
 
-fn connect_retry(addr: &str, attempts: usize) -> Result<NetClient, CliError> {
-    let mut last = None;
-    for _ in 0..attempts.max(1) {
-        match NetClient::connect(addr) {
-            Ok(c) => return Ok(c),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-    Err(CliError(format!("connect {addr}: {}", last.expect("at least one attempt"))))
-}
-
 /// `biq top`: print one snapshot (`--once`) or refresh until the
 /// connection drops or the process is interrupted.
 pub fn cmd_top(cfg: &TopConfig) -> Result<(), CliError> {
@@ -135,7 +121,8 @@ pub fn cmd_top(cfg: &TopConfig) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::model_cmds::{cmd_compile, CompileConfig};
-    use crate::net_cmds::{cmd_load_client, start_daemon, DaemonConfig, LoadClientConfig};
+    use crate::net_cmds::{cmd_load_client, start_daemon, DaemonConfig};
+    use crate::traffic::TrafficConfig;
 
     /// The full `biq top --once` path against a live daemon: drive load,
     /// sample the series ring (as the daemon loop does each second), and
@@ -154,11 +141,11 @@ mod tests {
         let (net, _ids) = start_daemon(&path, "127.0.0.1:0", &DaemonConfig::default()).unwrap();
         let addr = net.local_addr().to_string();
         net.sample_series(); // prime the delta baseline
-        cmd_load_client(&LoadClientConfig {
+        cmd_load_client(&TrafficConfig {
             addr: addr.clone(),
             requests: 30,
             concurrency: 2,
-            ..LoadClientConfig::default()
+            ..TrafficConfig::default()
         })
         .unwrap();
         net.sample_series(); // close the interval covering the load

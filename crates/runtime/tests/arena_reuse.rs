@@ -12,16 +12,19 @@ use biq_runtime::{
     compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Counts every allocation made through the global allocator.
+/// Counts the allocations the thread holding the suite lock makes
+/// through the global allocator.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,8 +45,45 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-global, so a sibling test's allocations would
+/// land in a measured window. Every test holds this lock for its whole
+/// body, which makes the measured regions mutually exclusive at any
+/// `--test-threads`; only the holder's thread counts, which keeps the
+/// harness's own allocations (reporting a finished test, spawning the
+/// next one) out of the window too.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Holds the suite lock and marks this thread as the counted one.
+struct Serial {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        COUNTED.with(|c| c.set(false));
+    }
+}
+
+fn serial() -> Serial {
+    // A failed test poisons the lock; the others still measure correctly.
+    let lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    COUNTED.with(|c| c.set(true));
+    Serial { _lock: lock }
+}
+
 #[test]
 fn serial_small_batch_steady_state_allocates_nothing() {
+    let _serial = serial();
     // The paper's serving regime: small batch against a large-ish matrix.
     for b in [1usize, 4, 8] {
         let mut g = MatrixRng::seed_from(0xa0 + b as u64);
@@ -78,6 +118,7 @@ fn serial_small_batch_steady_state_allocates_nothing() {
 
 #[test]
 fn warmed_executor_is_allocation_free_from_the_first_run() {
+    let _serial = serial();
     let mut g = MatrixRng::seed_from(0xa9);
     let (m, n, b) = (128, 384, 4);
     let signs = g.signs(m, n);
@@ -98,6 +139,7 @@ fn warmed_executor_is_allocation_free_from_the_first_run() {
 
 #[test]
 fn fp32_blocked_steady_state_allocates_nothing() {
+    let _serial = serial();
     // The dense serving path shares the arena's pack panel.
     let mut g = MatrixRng::seed_from(0xaa);
     let (m, n, b) = (128, 256, 6);
@@ -121,6 +163,7 @@ fn fp32_blocked_steady_state_allocates_nothing() {
 
 #[test]
 fn parallel_steady_state_allocates_nothing_per_worker() {
+    let _serial = serial();
     // The arena-aware parallel drivers draw every per-task buffer (LUT
     // bank, accumulator, DP steps, key-row ranges) from the executor's
     // persistent per-worker pool. Pinning the pool to one thread makes the
@@ -162,6 +205,7 @@ fn parallel_steady_state_allocates_nothing_per_worker() {
 
 #[test]
 fn legacy_one_shot_facade_allocates_every_call() {
+    let _serial = serial();
     // Contrast case documenting what the refactor removed: the
     // self-contained `BiqGemm` facade builds a fresh arena (bank +
     // accumulator) per call. (The deprecated free-function shims that used

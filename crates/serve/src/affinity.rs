@@ -8,15 +8,13 @@
 //! is only tens of microseconds — a single cross-core migration costs more
 //! than the query itself.
 //!
-//! Linux-only, via raw `sched_setaffinity(2)` through the same std-only
-//! `extern "C"` pattern the CLI uses for SIGINT handling (no libc crate in
-//! the offline container). Other platforms get a stub that reports failure,
-//! so callers degrade to unpinned workers instead of failing to start.
+//! Via raw `sched_setaffinity(2)` through the same std-only `extern "C"`
+//! pattern the CLI uses for SIGINT handling (no libc crate in the offline
+//! workspace); like the rest of the crate, Linux only.
 
 /// Pins the calling thread to `cpu` (best effort). Returns `true` when the
-/// kernel accepted the mask, `false` on failure or unsupported platforms —
-/// callers treat `false` as "run unpinned", never as fatal.
-#[cfg(target_os = "linux")]
+/// kernel accepted the mask, `false` on failure — callers treat `false` as
+/// "run unpinned", never as fatal.
 pub fn pin_current_thread(cpu: usize) -> bool {
     // 16 × u64 = 1024 CPU bits, the kernel's default CPU_SETSIZE. We only
     // ever set one bit; cores ≥ 1024 simply decline the pin.
@@ -35,13 +33,6 @@ pub fn pin_current_thread(cpu: usize) -> bool {
     unsafe { sched_setaffinity(0, MASK_WORDS * 8, mask.as_ptr()) == 0 }
 }
 
-/// Non-Linux stub: affinity is not wired up, report failure so workers run
-/// unpinned.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_cpu: usize) -> bool {
-    false
-}
-
 /// The number of CPUs workers may be pinned across: worker `i` targets core
 /// `i % cpu_count()`. Falls back to 1 if the parallelism query fails.
 pub fn cpu_count() -> usize {
@@ -53,9 +44,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn pinning_to_core_zero_succeeds() {
-        // Core 0 exists on every Linux host this runs on; pin a scratch
+        // Core 0 exists on every host this runs on; pin a scratch
         // thread (not the test harness thread) so the mask change is
         // contained.
         let ok = std::thread::spawn(|| pin_current_thread(0)).join().unwrap();

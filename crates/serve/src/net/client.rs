@@ -161,7 +161,7 @@ impl NetClient {
     /// Asks the daemon for its model table (the `ListModels` admin verb):
     /// every version the registry knows, live first, with memory and
     /// traffic accounting per row.
-    pub fn list_models(&mut self) -> Result<Vec<wire::ModelInfo>, NetError> {
+    pub fn list_models(&mut self) -> Result<Vec<crate::ModelInfo>, NetError> {
         self.write_frame(&Message::ListModels)?;
         match wire::read_message(&mut self.stream)? {
             Message::ModelList(models) => Ok(models),

@@ -24,7 +24,7 @@
 //!   in-process [`biq_runtime::Executor::run`] result exactly — the
 //!   `net_equivalence` test pins this across concurrent connections.
 //! * **Readiness, not threads.** [`NetServer`] is a reactor (`sys` wraps
-//!   epoll, with a portable `poll` fallback): a fixed pool of I/O threads
+//!   epoll; the crate is Linux only): a fixed pool of I/O threads
 //!   multiplexes every connection through nonblocking sockets, incremental
 //!   frame decode, and vectored writes — holding thousands of idle
 //!   connections costs state, not stacks.
@@ -36,4 +36,4 @@ pub mod wire;
 
 pub use client::{NetClient, NetError, Outcome};
 pub use server::{NetConfig, NetServer};
-pub use wire::{Message, ModelInfo, OpInfo, RejectCode, WireError};
+pub use wire::{Message, OpInfo, RejectCode, WireError};

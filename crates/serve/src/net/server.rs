@@ -718,21 +718,7 @@ fn handle_message(conn: &mut Conn, ctx: &IoCtx, msg: Message) {
             });
         }
         Message::ListModels => {
-            let models = ctx
-                .client
-                .registry()
-                .models()
-                .into_iter()
-                .map(|m| wire::ModelInfo {
-                    name: m.name,
-                    version: m.version,
-                    live: m.live,
-                    mem_bytes: m.mem_bytes,
-                    ops: m.ops as u32,
-                    inflight: m.inflight as u32,
-                    completed: m.completed,
-                })
-                .collect();
+            let models = ctx.client.registry().models();
             conn.pending.push_back(PendingOut::Ready(Message::ModelList(models)));
         }
         _ => {

@@ -1,5 +1,5 @@
-//! Readiness polling for the reactor — epoll on Linux, `poll(2)` elsewhere
-//! on unix, a degraded always-ready tick on everything else.
+//! Readiness polling for the reactor — epoll, so the serving layer is
+//! Linux only.
 //!
 //! The reactor needs exactly four things from the OS: "tell me which of
 //! these sockets can make progress", "wake me from another thread", a way
@@ -28,29 +28,18 @@ pub(crate) struct Event {
     pub(crate) writable: bool,
 }
 
-#[cfg(target_os = "linux")]
+#[cfg(not(target_os = "linux"))]
+compile_error!("biq_serve is Linux only: its reactor is built on epoll(7)");
+
 pub(crate) use linux::{Poller, Waker};
-
-#[cfg(all(unix, not(target_os = "linux")))]
-pub(crate) use fallback::{Poller, Waker};
-
-#[cfg(not(unix))]
-pub(crate) use degraded::{Poller, Waker};
 
 /// Raw fd of a socket, for registration. Events remain hints, so a token
 /// outliving its socket never corrupts anything.
-#[cfg(unix)]
 pub(crate) fn sock_fd(stream: &std::net::TcpStream) -> i32 {
     use std::os::unix::io::AsRawFd;
     stream.as_raw_fd()
 }
 
-#[cfg(not(unix))]
-pub(crate) fn sock_fd(_stream: &std::net::TcpStream) -> i32 {
-    -1
-}
-
-#[cfg(target_os = "linux")]
 mod linux {
     use super::{Event, WAKER_TOKEN};
     use std::io;
@@ -209,203 +198,6 @@ mod linux {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod fallback {
-    use super::{Event, WAKER_TOKEN};
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    const POLLIN: i16 = 0x1;
-    const POLLOUT: i16 = 0x4;
-    const POLLERR: i16 = 0x8;
-    const POLLHUP: i16 = 0x10;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-    }
-
-    struct Slot {
-        fd: i32,
-        token: u64,
-        want_read: bool,
-        want_write: bool,
-    }
-
-    /// `poll(2)`-backed poller. The waker is an atomic flag checked every
-    /// tick: waits are capped at 5ms so a wake is observed promptly without
-    /// needing a self-pipe (no portable non-libc pipe/fcntl surface).
-    pub(crate) struct Poller {
-        slots: Mutex<Vec<Slot>>,
-        woken: Arc<AtomicBool>,
-    }
-
-    #[derive(Clone)]
-    pub(crate) struct Waker {
-        woken: Arc<AtomicBool>,
-    }
-
-    impl Waker {
-        pub(crate) fn wake(&self) {
-            self.woken.store(true, Ordering::Release);
-        }
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Self> {
-            Ok(Self { slots: Mutex::new(Vec::new()), woken: Arc::new(AtomicBool::new(false)) })
-        }
-
-        pub(crate) fn waker(&self) -> Waker {
-            Waker { woken: Arc::clone(&self.woken) }
-        }
-
-        pub(crate) fn add(&self, fd: i32, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.slots.lock().unwrap().push(Slot { fd, token, want_read: read, want_write: write });
-            Ok(())
-        }
-
-        pub(crate) fn modify(
-            &self,
-            fd: i32,
-            token: u64,
-            read: bool,
-            write: bool,
-        ) -> io::Result<()> {
-            let mut slots = self.slots.lock().unwrap();
-            if let Some(s) = slots.iter_mut().find(|s| s.fd == fd) {
-                s.token = token;
-                s.want_read = read;
-                s.want_write = write;
-            }
-            Ok(())
-        }
-
-        pub(crate) fn delete(&self, fd: i32) {
-            self.slots.lock().unwrap().retain(|s| s.fd != fd);
-        }
-
-        pub(crate) fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            events.clear();
-            let mut fds: Vec<PollFd> = {
-                let slots = self.slots.lock().unwrap();
-                slots
-                    .iter()
-                    .map(|s| PollFd {
-                        fd: s.fd,
-                        events: if s.want_read { POLLIN } else { 0 }
-                            | if s.want_write { POLLOUT } else { 0 },
-                        revents: 0,
-                    })
-                    .collect()
-            };
-            let cap = if timeout_ms < 0 { 5 } else { timeout_ms.min(5) };
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, cap) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            if self.woken.swap(false, Ordering::AcqRel) {
-                events.push(Event { token: WAKER_TOKEN, readable: true, writable: false });
-            }
-            let slots = self.slots.lock().unwrap();
-            for (pf, s) in fds.iter().zip(slots.iter()) {
-                if pf.fd != s.fd {
-                    continue; // registration changed mid-wait; skip the tick
-                }
-                let err = pf.revents & (POLLERR | POLLHUP) != 0;
-                if pf.revents != 0 {
-                    events.push(Event {
-                        token: s.token,
-                        readable: pf.revents & POLLIN != 0 || err,
-                        writable: pf.revents & POLLOUT != 0 || err,
-                    });
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod degraded {
-    use super::{Event, WAKER_TOKEN};
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    /// No readiness API: report every registered token ready each tick and
-    /// sleep briefly. Correct (sockets are nonblocking; spurious readiness
-    /// just yields `WouldBlock`) but busy — acceptable for the platforms
-    /// the serving path doesn't target.
-    pub(crate) struct Poller {
-        tokens: Mutex<Vec<(i32, u64)>>,
-        woken: Arc<AtomicBool>,
-    }
-
-    #[derive(Clone)]
-    pub(crate) struct Waker {
-        woken: Arc<AtomicBool>,
-    }
-
-    impl Waker {
-        pub(crate) fn wake(&self) {
-            self.woken.store(true, Ordering::Release);
-        }
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Self> {
-            Ok(Self { tokens: Mutex::new(Vec::new()), woken: Arc::new(AtomicBool::new(false)) })
-        }
-
-        pub(crate) fn waker(&self) -> Waker {
-            Waker { woken: Arc::clone(&self.woken) }
-        }
-
-        pub(crate) fn add(&self, fd: i32, token: u64, _read: bool, _write: bool) -> io::Result<()> {
-            self.tokens.lock().unwrap().push((fd, token));
-            Ok(())
-        }
-
-        pub(crate) fn modify(
-            &self,
-            _fd: i32,
-            _token: u64,
-            _read: bool,
-            _write: bool,
-        ) -> io::Result<()> {
-            Ok(())
-        }
-
-        pub(crate) fn delete(&self, fd: i32) {
-            self.tokens.lock().unwrap().retain(|(f, _)| *f != fd);
-        }
-
-        pub(crate) fn wait(&self, events: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<()> {
-            events.clear();
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            if self.woken.swap(false, Ordering::AcqRel) {
-                events.push(Event { token: WAKER_TOKEN, readable: true, writable: false });
-            }
-            for (_, token) in self.tokens.lock().unwrap().iter() {
-                events.push(Event { token: *token, readable: true, writable: true });
-            }
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,8 +215,8 @@ mod tests {
         });
         let mut events = Vec::new();
         let start = Instant::now();
-        // Poll until the wake is observed (the fallback poller caps each
-        // wait at a few ms, so loop rather than rely on one long block).
+        // Poll until the wake is observed (a signal can end a wait early,
+        // so loop rather than rely on one long block).
         loop {
             poller.wait(&mut events, 2_000).expect("wait");
             if events.iter().any(|e| e.token == WAKER_TOKEN) {

@@ -20,6 +20,7 @@
 //! parsed — a corrupt frame is always [`WireError::Malformed`], never a
 //! panic or an over-allocation.
 
+use crate::registry::ModelInfo;
 use biq_artifact::fnv1a64;
 use biq_obs::{
     HistogramSnapshot, MetricValue, OpPoint, RequestRecord, Sample, SeriesPoint, SlowHit, BUCKETS,
@@ -155,26 +156,6 @@ pub struct OpInfo {
     pub m: u32,
     /// Input rows `n` (what a request payload must have).
     pub n: u32,
-}
-
-/// One model row in a [`Message::ModelList`] frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModelInfo {
-    /// Model name (the `name` half of `op@v` resolution).
-    pub name: String,
-    /// Version of this row.
-    pub version: u32,
-    /// True while this version serves traffic; false once retired (its
-    /// slots and traffic counters are retained, its payload is dropped).
-    pub live: bool,
-    /// Estimated resident bytes (0 once retired).
-    pub mem_bytes: u64,
-    /// Ops this version registered.
-    pub ops: u32,
-    /// Requests currently in flight against this version.
-    pub inflight: u32,
-    /// Requests completed across this version's ops.
-    pub completed: u64,
 }
 
 /// Every message the protocol carries, client→server and server→client.
@@ -609,8 +590,9 @@ pub fn encode_into(frame: &mut Vec<u8>, msg: &Message) {
                 w.u32(m.version);
                 w.u8(if m.live { 1 } else { 2 });
                 w.u64(m.mem_bytes);
-                w.u32(m.ops);
-                w.u32(m.inflight);
+                // Counts travel as u32 and saturate rather than wrap.
+                w.u32(u32::try_from(m.ops).unwrap_or(u32::MAX));
+                w.u32(u32::try_from(m.inflight).unwrap_or(u32::MAX));
                 w.u64(m.completed);
             }
         }
@@ -1051,8 +1033,8 @@ fn parse_body(kind: u8, body: &[u8]) -> Result<Message, WireError> {
                     version: model_version,
                     live,
                     mem_bytes: r.u64("model bytes")?,
-                    ops: r.u32("op count")?,
-                    inflight: r.u32("inflight")?,
+                    ops: r.u32("op count")? as usize,
+                    inflight: r.u32("inflight")?.into(),
                     completed: r.u64("completed")?,
                 });
             }

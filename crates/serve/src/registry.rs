@@ -392,8 +392,10 @@ pub struct UnloadedModel {
     pub ops_retired: usize,
 }
 
-/// One row of the fleet view ([`LiveRegistry::models`]).
-#[derive(Clone, Debug)]
+/// One row of the fleet view ([`LiveRegistry::models`]) and of the wire's
+/// `ModelList` frame, which carries `ops` and `inflight` as saturating
+/// u32s.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelInfo {
     /// Model name.
     pub name: String,

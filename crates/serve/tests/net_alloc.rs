@@ -12,16 +12,19 @@
 
 use biq_serve::net::wire::{self, Message, RejectCode};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Counts every allocation made through the global allocator.
+/// Counts the allocations the thread holding the suite lock makes
+/// through the global allocator.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,8 +45,45 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-global, so a sibling test's allocations would
+/// land in a measured window. Every test holds this lock for its whole
+/// body, which makes the measured regions mutually exclusive at any
+/// `--test-threads`; only the holder's thread counts, which keeps the
+/// harness's own allocations (reporting a finished test, spawning the
+/// next one) out of the window too.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Holds the suite lock and marks this thread as the counted one.
+struct Serial {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        COUNTED.with(|c| c.set(false));
+    }
+}
+
+fn serial() -> Serial {
+    // A failed test poisons the lock; the others still measure correctly.
+    let lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    COUNTED.with(|c| c.set(true));
+    Serial { _lock: lock }
+}
+
 #[test]
 fn warmed_reply_encodes_allocate_nothing() {
+    let _serial = serial();
     // The reactor's hot path: a reply frame per request, encoded from a
     // borrowed result slice into a recycled buffer.
     let data = vec![0.125f32; 512 * 4];
@@ -59,6 +99,7 @@ fn warmed_reply_encodes_allocate_nothing() {
 
 #[test]
 fn warmed_request_encodes_allocate_nothing() {
+    let _serial = serial();
     // The client's pipelined send path: op name and payload are borrowed,
     // the scratch frame is reused.
     let data = vec![0.5f32; 256 * 2];
@@ -74,6 +115,7 @@ fn warmed_request_encodes_allocate_nothing() {
 
 #[test]
 fn warmed_message_encodes_reuse_the_buffer() {
+    let _serial = serial();
     // The general `encode_into` (admin verbs, rejects) reuses capacity
     // too: the frame bytes themselves never allocate once warm. (The
     // `Message` is pre-built here; the reactor's reject path does build
@@ -92,6 +134,7 @@ fn warmed_message_encodes_reuse_the_buffer() {
 
 #[test]
 fn the_owned_encode_allocates_every_call() {
+    let _serial = serial();
     // Contrast case documenting what the reactor path removed: `encode`
     // returns a fresh `Vec` per frame by construction.
     let data = vec![0.25f32; 64];

@@ -95,13 +95,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<bool>(),
             (any::<u64>(), 1u32..9, 0u32..5, any::<u64>()),
         )
-            .prop_map(|(name, version, live, rest)| wire::ModelInfo {
+            .prop_map(|(name, version, live, rest)| biq_serve::ModelInfo {
                 name: NAMES[name].to_string(),
                 version,
                 live,
                 mem_bytes: rest.0,
-                ops: rest.1,
-                inflight: rest.2,
+                ops: rest.1 as usize,
+                inflight: rest.2.into(),
                 completed: rest.3,
             }),
         0..4,
