@@ -42,11 +42,16 @@ impl BiqArena {
         Self { bank: None, bank_mu: 0, bank_layout: LutLayout::KeyMajor }
     }
 
-    /// Pre-sizes every buffer for a serial run of `cfg` at batch `b`, so
-    /// even the *first* kernel call at that shape is allocation-free.
-    pub fn reserve(&mut self, cfg: &crate::config::BiqConfig, b: usize) {
+    /// Pre-sizes every buffer for a serial run of `cfg` over an `n`-wide
+    /// input at batch `b` (or any smaller batch), so even the *first*
+    /// kernel call at such a shape is allocation-free — the bank sizing of
+    /// [`crate::planner::scratch_spec`].
+    pub fn reserve(&mut self, cfg: &crate::config::BiqConfig, n: usize, b: usize) {
         let nb = cfg.tile_batch.min(b.max(1));
-        self.bank(cfg.mu, cfg.layout).reserve(cfg.tile_chunks, nb);
+        let bank = self.bank(cfg.mu, cfg.layout);
+        bank.reserve(cfg.tile_chunks, nb);
+        // A width-1 batch tile keeps one column's tables for every chunk.
+        bank.reserve(n.div_ceil(cfg.mu), 1);
     }
 
     /// Mutable access to the bank for one kernel run, (re)creating it when

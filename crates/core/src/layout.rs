@@ -280,10 +280,12 @@ impl LutBank {
         simd::lut_gather(&self.data[..self.num_chunks * self.table], self.table, keys, k)
     }
 
-    /// Row-batched single-batch gather: for each row `i` of the key slab,
+    /// Row-batched single-batch gather over the bank window that starts at
+    /// resident chunk `chunk0`: for each row `i` of the key slab (whose
+    /// first key belongs to chunk `chunk0`),
     /// `y[i · y_stride] += scales[i] · gather(row_i)` — row for row the
     /// identical canonical-tree sum as [`LutBank::gather`], but dispatched
-    /// and validated once per row tile instead of once per output row,
+    /// and validated once per row block instead of once per output row,
     /// with consecutive rows' gathers interleaved on x86. This is the
     /// b = 1 serving hot loop; see [`crate::simd::lut_gather_rows`].
     ///
@@ -294,6 +296,7 @@ impl LutBank {
     #[inline]
     pub fn gather_rows(
         &self,
+        chunk0: usize,
         keys: &[u16],
         key_stride: usize,
         nc: usize,
@@ -303,12 +306,12 @@ impl LutBank {
         k: ResolvedKernel,
     ) {
         debug_assert_eq!(self.nb, 1);
-        debug_assert!(nc <= self.num_chunks);
+        debug_assert!(chunk0 + nc <= self.num_chunks);
         simd::lut_gather_rows(
             y,
             y_stride,
             scales,
-            &self.data[..self.num_chunks * self.table],
+            &self.data[chunk0 * self.table..self.num_chunks * self.table],
             self.table,
             keys,
             key_stride,

@@ -91,14 +91,15 @@ impl ParallelArena {
         self.slots.len()
     }
 
-    /// Pre-sizes every slot (and the shared bank) for runs of `cfg` at
-    /// batch `b` with `bits` weight planes, so even the first parallel run
-    /// draws no fresh allocations from inside the task bodies.
-    pub fn reserve(&mut self, cfg: &BiqConfig, bits: usize, b: usize) {
+    /// Pre-sizes every slot (and the shared bank) for runs of `cfg` over
+    /// an `n`-wide input at batch `b` with `bits` weight planes, so even the
+    /// first parallel run draws no fresh allocations from inside the task
+    /// bodies.
+    pub fn reserve(&mut self, cfg: &BiqConfig, n: usize, bits: usize, b: usize) {
         let nb = cfg.tile_batch.min(b.max(1));
         for slot in &self.slots {
             let mut s = slot.lock().expect("parallel arena slot poisoned");
-            s.arena.reserve(cfg, b);
+            s.arena.reserve(cfg, n, b);
             // `Vec::reserve` is relative to `len`, so this guarantees
             // capacity ≥ `bits` regardless of what earlier runs left behind.
             let extra = bits.saturating_sub(s.ranges.len());
@@ -467,7 +468,7 @@ mod tests {
                 tile_batch: 3,
                 ..BiqConfig::default()
             };
-            pool.reserve(&cfg, w.bits(), x.cols());
+            pool.reserve(&cfg, w.input_size(), w.bits(), x.cols());
             let mut y = vec![0.0f32; 48 * 5];
             biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &pool, &mut y);
             assert_eq!(y, serial(&w, &x, &cfg).as_slice(), "{schedule:?}");

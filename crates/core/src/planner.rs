@@ -11,6 +11,14 @@
 //! 2. caps the batch tile at 32 columns (beyond that, accumulate bandwidth
 //!    dominates and the paper's large-batch regression kicks in);
 //! 3. sizes the chunk tile so the whole bank fits the budget.
+//!
+//! The budget bounds *batched* tiles. A width-1 batch tile (b = 1, or a
+//! batch's one-column tail) keeps one column's tables for every chunk
+//! resident — `⌈n/µ⌉ · 2^µ` floats, 256 KiB for n = 2048 at µ = 8 — and
+//! walks output-row blocks outermost (see `tiled::run_width1`); there
+//! `tile_chunks` sets only the accumulation and scale grouping, which fixes
+//! the output bits, not the live bank size. [`scratch_spec`] sizes the
+//! bank for both.
 
 use crate::complexity::optimal_mu;
 use crate::config::{BiqConfig, Schedule};
@@ -43,10 +51,13 @@ pub enum Threading {
 
 /// Scratch-buffer requirements (in `f32` slots) implied by one config at
 /// batch `b` — what an executor arena must hold so the query phase runs
-/// without touching the allocator.
+/// without touching the allocator at any batch up to `b`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScratchSpec {
-    /// Lookup-table bank: `tile_chunks · 2^µ · min(tile_batch, b)`.
+    /// Lookup-table bank: the larger of a batched tile's bank,
+    /// `tile_chunks · 2^µ · min(tile_batch, b)`, and one column's tables
+    /// for all `⌈n/µ⌉` chunks, `⌈n/µ⌉ · 2^µ` — what a width-1 batch tile
+    /// keeps resident (every batch up to `b` includes `b = 1`).
     pub lut_bank_floats: usize,
     /// Algorithm 1 step vectors: `µ · min(tile_batch, b)`.
     pub dp_steps_floats: usize,
@@ -61,15 +72,17 @@ impl ScratchSpec {
     }
 }
 
-/// Computes the scratch a serial run of `cfg` needs at batch `b`.
-pub fn scratch_spec(cfg: &BiqConfig, b: usize) -> ScratchSpec {
+/// Computes the scratch a serial run of `cfg` over an `n`-wide input needs
+/// at batch `b` (and every smaller batch).
+pub fn scratch_spec(cfg: &BiqConfig, n: usize, b: usize) -> ScratchSpec {
     let nb = cfg.tile_batch.min(b.max(1));
+    let table = 1usize << cfg.mu;
     // The query phase itself needs no separate accumulator: the fused
     // kernel (`simd::lut_query_fused`) accumulates in registers.
     ScratchSpec {
-        lut_bank_floats: cfg.tile_chunks * (1usize << cfg.mu) * nb,
+        lut_bank_floats: (cfg.tile_chunks * table * nb).max(n.div_ceil(cfg.mu) * table),
         dp_steps_floats: cfg.mu * nb,
-        table_scratch_floats: 1usize << cfg.mu,
+        table_scratch_floats: table,
     }
 }
 
@@ -208,11 +221,15 @@ mod runtime_planning_tests {
     #[test]
     fn scratch_spec_matches_bank_geometry() {
         let cfg = BiqConfig { mu: 8, tile_chunks: 4, tile_batch: 16, ..BiqConfig::default() };
-        let s = scratch_spec(&cfg, 3); // batch smaller than the tile
+        let s = scratch_spec(&cfg, 64, 3); // batch smaller than the tile
         assert_eq!(s.lut_bank_floats, 4 * 256 * 3);
         assert_eq!(s.dp_steps_floats, 8 * 3);
         assert_eq!(s.table_scratch_floats, 256);
         assert_eq!(s.total_bytes(), (4 * 256 * 3 + 24 + 256) * 4);
+        // Width-1 tiles hold one column's tables for every chunk.
+        assert_eq!(scratch_spec(&cfg, 2048, 1).lut_bank_floats, 256 * 256);
+        assert_eq!(scratch_spec(&cfg, 2048, 3).lut_bank_floats, 256 * 256);
+        assert_eq!(scratch_spec(&cfg, 20, 1).lut_bank_floats, 4 * 256);
     }
 
     #[test]

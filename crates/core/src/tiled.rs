@@ -9,15 +9,19 @@
 //! for each batch tile:
 //!   for each chunk tile TX:
 //!     build bank TQ from TX                  (Algorithm 1, build/replace)
-//!     for each row tile TK of the key matrix:
-//!       for each key row r in TK:
-//!         acc[·] += q^β_·[K[r, β]]  over the tile's chunks   (query)
-//!         Y[r mod m, ·] += α_r · acc
+//!     for each key row r:
+//!       acc[·] += q^β_·[K[r, β]]  over the tile's chunks   (query)
+//!       Y[r mod m, ·] += α_r · acc
 //! ```
 //!
 //! Partial outputs from different chunk tiles accumulate into `Y`; the scale
 //! `α_r` distributes over partial sums, so applying it per chunk tile is
 //! exact up to f32 rounding.
+//!
+//! A batch tile of width 1 (the GEMV regime) turns the nest inside out: its
+//! tables for every chunk are small enough to stay resident, so the loop
+//! walks output-row blocks outermost and reads each key row once — see
+//! `run_width1` for why that changes no output bit.
 
 use crate::arena::BiqArena;
 use crate::config::{BiqConfig, LutLayout};
@@ -90,69 +94,38 @@ pub(crate) fn run_tiles(
     let keys = w.keys();
     let m = w.output_size();
     for (b0, nb) in tile_ranges(b, cfg.tile_batch) {
+        if nb == 1 {
+            run_width1(w, &input, b0, cfg, kernel, profile, bank, key_row_ranges, y, y_row0);
+            continue;
+        }
         for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
             bank.build(&input, c0, nc, b0, nb, cfg.build, profile, kernel);
             profile.time_query(|| {
                 for &(kr_start, kr_end) in key_row_ranges {
-                    for (r0, nr) in tile_ranges(kr_end - kr_start, cfg.tile_rows) {
-                        if nb == 1 {
-                            // GEMV fast path: with one live batch column the
-                            // two layouts coincide (entry (c, key) lives at
-                            // c·2^µ + key) and the canonical-order gather runs
-                            // row-batched at the pinned level — dispatch and
-                            // validation once per row tile, consecutive rows'
-                            // gathers interleaved. Key rows map to output rows
-                            // mod m (bit planes), so a tile is split where the
-                            // output row index wraps.
-                            let keys_all = keys.as_slice();
-                            let stride = keys.chunks();
-                            let mut r = kr_start + r0;
-                            let tile_end = kr_start + r0 + nr;
-                            while r < tile_end {
-                                let run_end = tile_end.min((r / m + 1) * m);
-                                let out_row = r % m;
-                                debug_assert!(out_row >= y_row0);
-                                let yoff = (out_row - y_row0) * b + b0;
-                                let slab =
-                                    &keys_all[r * stride + c0..(run_end - 1) * stride + c0 + nc];
-                                bank.gather_rows(
-                                    slab,
-                                    stride,
-                                    nc,
-                                    &w.scales()[r..run_end],
-                                    &mut y[yoff..],
-                                    b,
-                                    kernel,
-                                );
-                                r = run_end;
+                    for r in kr_start..kr_end {
+                        let scale = w.scale(r);
+                        let out_row = r % m;
+                        debug_assert!(out_row >= y_row0);
+                        let yoff = (out_row - y_row0) * b + b0;
+                        let krow = &keys.key_row(r)[c0..c0 + nc];
+                        match cfg.layout {
+                            LutLayout::KeyMajor => {
+                                // Fused lookup-accumulate at the pinned
+                                // level: register accumulation across the
+                                // tile's chunks, scale applied in-pass.
+                                bank.query_fused(krow, scale, &mut y[yoff..yoff + nb], kernel);
                             }
-                            continue;
-                        }
-                        for r in kr_start + r0..kr_start + r0 + nr {
-                            let scale = w.scale(r);
-                            let out_row = r % m;
-                            debug_assert!(out_row >= y_row0);
-                            let yoff = (out_row - y_row0) * b + b0;
-                            let krow = &keys.key_row(r)[c0..c0 + nc];
-                            match cfg.layout {
-                                LutLayout::KeyMajor => {
-                                    // Fused lookup-accumulate at the pinned
-                                    // level: register accumulation across the
-                                    // tile's chunks, scale applied in-pass.
-                                    bank.query_fused(krow, scale, &mut y[yoff..yoff + nb], kernel);
-                                }
-                                LutLayout::BatchMajor => {
-                                    // Per-element gather; the canonical tree
-                                    // keeps it bit-identical to the KeyMajor
-                                    // fused kernel (`both_layouts_agree`).
-                                    let yrow = &mut y[yoff..yoff + nb];
-                                    for (a, yv) in yrow.iter_mut().enumerate() {
-                                        let mut s = TreeAccumulator::new();
-                                        for (ci, &key) in krow.iter().enumerate() {
-                                            s.push(bank.entry(ci, a, key));
-                                        }
-                                        *yv += scale * s.finish();
+                            LutLayout::BatchMajor => {
+                                // Per-element gather; the canonical tree
+                                // keeps it bit-identical to the KeyMajor
+                                // fused kernel (`both_layouts_agree`).
+                                let yrow = &mut y[yoff..yoff + nb];
+                                for (a, yv) in yrow.iter_mut().enumerate() {
+                                    let mut s = TreeAccumulator::new();
+                                    for (ci, &key) in krow.iter().enumerate() {
+                                        s.push(bank.entry(ci, a, key));
                                     }
+                                    *yv += scale * s.finish();
                                 }
                             }
                         }
@@ -161,6 +134,92 @@ pub(crate) fn run_tiles(
             });
         }
     }
+}
+
+/// One width-1 batch tile (column `b0`): the GEMV of the paper's
+/// small-batch regime, whether `b = 1` or the one-column tail of a wider
+/// batch. With one live column both layouts coincide (entry `(c, key)` at
+/// `c·2^µ + key`), so the tables of **every** chunk are built once into
+/// the bank and the loop runs row-block-outer:
+///
+/// ```text
+/// for each block of tile_rows output rows:
+///   for each chunk tile TX (ascending):
+///     for each weight plane p (ascending):
+///       Y[block] += α · gather(K[p·m + block, TX])     (gather_rows)
+/// ```
+///
+/// so every key row of a block is consumed while the block is hot, instead
+/// of being re-read once per chunk tile, a whole key matrix apart. Each
+/// output element still receives its scaled per-tile partials in ascending
+/// chunk-tile order with planes in order inside a tile — the add sequence
+/// of the tile-outer batched loop — so the output bits do not depend on
+/// the loop order, and `tile_chunks` here sets only the accumulation and
+/// scale grouping, not the live bank size.
+#[allow(clippy::too_many_arguments)]
+fn run_width1(
+    w: &BiqWeights,
+    input: &ChunkedInput<'_>,
+    b0: usize,
+    cfg: &BiqConfig,
+    kernel: ResolvedKernel,
+    profile: &mut PhaseProfile,
+    bank: &mut LutBank,
+    key_row_ranges: &[(usize, usize)],
+    y: &mut [f32],
+    y_row0: usize,
+) {
+    let (m, b, chunks) = (w.output_size(), input.batch(), w.chunks());
+    bank.build(input, 0, chunks, b0, 1, cfg.build, profile, kernel);
+    let keys = w.keys().as_slice();
+    let stride = w.keys().chunks();
+    // Output rows the ranges touch; a block outside every plane run is
+    // skipped by the intersection below.
+    let (lo, hi) = plane_runs(key_row_ranges, m)
+        .fold((usize::MAX, 0), |(lo, hi), (s, e)| (lo.min(s % m), hi.max((e - 1) % m + 1)));
+    let bank = &*bank;
+    profile.time_query(|| {
+        for (o0, no) in tile_ranges(hi - lo, cfg.tile_rows) {
+            let (o0, o1) = (lo + o0, lo + o0 + no);
+            for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
+                for (s, e) in plane_runs(key_row_ranges, m) {
+                    let plane = s - s % m;
+                    let rs = (s % m).max(o0);
+                    let re = ((e - 1) % m + 1).min(o1);
+                    if rs >= re {
+                        continue;
+                    }
+                    debug_assert!(rs >= y_row0);
+                    let (r, r_end) = (plane + rs, plane + re);
+                    let slab = &keys[r * stride + c0..(r_end - 1) * stride + c0 + nc];
+                    let yoff = (rs - y_row0) * b + b0;
+                    bank.gather_rows(
+                        c0,
+                        slab,
+                        stride,
+                        nc,
+                        &w.scales()[r..r_end],
+                        &mut y[yoff..],
+                        b,
+                        kernel,
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// Splits ascending key-row ranges at weight-plane boundaries (key row `r`
+/// is plane `r / m`, output row `r % m`), so every yielded `(start, end)`
+/// lies inside one plane. Allocation-free.
+fn plane_runs(ranges: &[(usize, usize)], m: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    ranges.iter().flat_map(move |&(s, e)| {
+        let next_plane = move |r: usize| (r / m + 1) * m;
+        std::iter::successors(Some(s).filter(|&r| r < e), move |&r| {
+            Some(next_plane(r)).filter(|&n| n < e)
+        })
+        .map(move |r| (r, e.min(next_plane(r))))
+    })
 }
 
 #[cfg(test)]
@@ -355,6 +414,14 @@ mod tests {
         assert!(prof.query > std::time::Duration::ZERO);
         // Default layout is KeyMajor, so replace (scatter) must show up.
         assert!(prof.replace > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn plane_runs_split_ranges_at_plane_boundaries() {
+        let runs = |ranges: &[(usize, usize)]| plane_runs(ranges, 10).collect::<Vec<_>>();
+        assert_eq!(runs(&[(0, 30)]), [(0, 10), (10, 20), (20, 30)]);
+        assert_eq!(runs(&[(8, 12), (14, 14), (23, 25)]), [(8, 10), (10, 12), (23, 25)]);
+        assert!(runs(&[(5, 5)]).is_empty());
     }
 
     #[test]

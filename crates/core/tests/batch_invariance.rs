@@ -124,3 +124,56 @@ fn width_one_matches_both_parallel_schedules() {
         );
     }
 }
+
+/// The LSTM input-gate shape the width-1 golden digest pins: m = 1280,
+/// n = 603 (three chunk tiles at µ = 8, the last chunk 3 wide), β = 3.
+/// Every width-1 run — `b = 1` serial under two row-block sizes (one not
+/// dividing `m`), `b = 1` row-parallel, and the one-column tail of a
+/// `b = 33` batch at `tile_batch` 32 — must reproduce, bit for bit, the
+/// column it came from in a batch where every column takes the fused path.
+#[test]
+fn width_one_tiles_match_fused_columns_on_a_multi_tile_shape() {
+    let (m, n, bits, b) = (1280, 603, 3, 33);
+    let mut g = MatrixRng::seed_from(1280);
+    let base = BiqConfig::default();
+    let w = BiqWeights::from_multibit(
+        &greedy_quantize_matrix_rowwise(&g.gaussian(m, n, 0.0, 1.0), bits),
+        base.mu,
+    );
+    assert_eq!(w.chunks().div_ceil(base.tile_chunks), 3, "three chunk tiles");
+    let x = g.gaussian_col(n, b, 0.0, 1.0);
+    let kernel = base.kernel.resolve().expect("auto resolves");
+    let mut profile = PhaseProfile::new();
+    let mut arena = BiqArena::new();
+    let bits_of = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let column = |y: &[f32], width: usize, j: usize| -> Vec<u32> {
+        (0..m).map(|i| y[i * width + j].to_bits()).collect()
+    };
+
+    // Reference: one fused tile holds all 33 columns.
+    let fused_cfg = BiqConfig { tile_batch: b, ..base };
+    let mut y_fused = vec![0.0f32; m * b];
+    biqgemm_serial_into(&w, &x, &fused_cfg, kernel, &mut profile, &mut arena, &mut y_fused);
+
+    // b = 33 at tile_batch 32: column 32 is a width-1 tail.
+    let tail_cfg = BiqConfig { tile_batch: 32, ..base };
+    let mut y_tail = vec![0.0f32; m * b];
+    biqgemm_serial_into(&w, &x, &tail_cfg, kernel, &mut profile, &mut arena, &mut y_tail);
+    assert_eq!(bits_of(&y_tail), bits_of(&y_fused), "b=33 with a width-1 tail");
+
+    let pool = ParallelArena::new(2);
+    for j in [0, 17, 32] {
+        let xj = ColMatrix::from_vec(n, 1, x.col(j).to_vec());
+        let want = column(&y_fused, b, j);
+        for tile_rows in [base.tile_rows, 48] {
+            let cfg = BiqConfig { tile_rows, ..base };
+            let mut y = vec![0.0f32; m];
+            biqgemm_serial_into(&w, &xj, &cfg, kernel, &mut profile, &mut arena, &mut y);
+            assert_eq!(bits_of(&y), want, "serial b=1, tile_rows {tile_rows}, col {j}");
+        }
+        let cfg = BiqConfig { schedule: Schedule::RowParallel, ..base };
+        let mut y = vec![0.0f32; m];
+        biqgemm_parallel_arena_into(&w, &xj, &cfg, kernel, &pool, &mut y);
+        assert_eq!(bits_of(&y), want, "row-parallel b=1, col {j}");
+    }
+}

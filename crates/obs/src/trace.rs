@@ -349,10 +349,19 @@ mod tests {
     use super::*;
 
     // The trace layer is process-global state; tests in this module run in
-    // one process, so each scopes its assertions to its own span names.
+    // one process, so each scopes its assertions to its own span names, and
+    // every test that toggles or drains tracing holds `TRACING` for its
+    // whole body — otherwise a sibling can switch tracing off mid-test.
+    static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn tracing_lock() -> std::sync::MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the others still run correctly.
+        TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _tracing = tracing_lock();
         set_tracing(false);
         {
             let _g = crate::span!("test.disabled");
@@ -363,6 +372,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_scoped_durations() {
+        let _tracing = tracing_lock();
         set_tracing(true);
         {
             let _g = crate::span!("test.enabled");
@@ -379,6 +389,7 @@ mod tests {
 
     #[test]
     fn threads_get_distinct_ring_tids() {
+        let _tracing = tracing_lock();
         set_tracing(true);
         let handles: Vec<_> = (0..3)
             .map(|_| {
@@ -399,6 +410,7 @@ mod tests {
 
     #[test]
     fn health_reports_rings_and_enabled_flag() {
+        let _tracing = tracing_lock();
         set_tracing(true);
         emit("test.health", 1, 1); // ensure this thread's ring exists
         let h = health();

@@ -27,12 +27,12 @@ impl Arena {
         Self::default()
     }
 
-    /// Pre-grows the BiQGEMM buffers for `cfg` at batch `b` (so even the
-    /// first run is allocation-free) and returns the scratch spec that was
-    /// provisioned.
-    pub fn warm_biq(&mut self, cfg: &BiqConfig, b: usize) -> ScratchSpec {
-        self.biq.reserve(cfg, b);
-        biqgemm_core::planner::scratch_spec(cfg, b)
+    /// Pre-grows the BiQGEMM buffers for `cfg` over an `n`-wide input at
+    /// batch `b` (so even the first run is allocation-free) and returns the
+    /// scratch spec that was provisioned.
+    pub fn warm_biq(&mut self, cfg: &BiqConfig, n: usize, b: usize) -> ScratchSpec {
+        self.biq.reserve(cfg, n, b);
+        biqgemm_core::planner::scratch_spec(cfg, n, b)
     }
 
     /// Pre-grows the dense-kernel pack panel for an `n × b` input.
@@ -43,9 +43,10 @@ impl Arena {
     }
 
     /// Pre-grows every per-worker slot of the parallel scratch pool for
-    /// runs of `cfg` at batch `b` over `bits` weight planes.
-    pub fn warm_parallel(&mut self, cfg: &BiqConfig, bits: usize, b: usize) {
-        self.par_pool().reserve(cfg, bits, b);
+    /// runs of `cfg` over an `n`-wide input at batch `b` over `bits` weight
+    /// planes.
+    pub fn warm_parallel(&mut self, cfg: &BiqConfig, n: usize, bits: usize, b: usize) {
+        self.par_pool().reserve(cfg, n, bits, b);
     }
 
     /// The parallel scratch pool, created lazily so arenas that only ever
@@ -84,7 +85,7 @@ mod tests {
     fn warm_biq_reports_spec() {
         let mut a = Arena::new();
         let cfg = BiqConfig::default();
-        let spec = a.warm_biq(&cfg, 4);
+        let spec = a.warm_biq(&cfg, 64, 4);
         assert_eq!(spec.dp_steps_floats, cfg.mu * 4);
     }
 }

@@ -53,9 +53,9 @@ impl Executor {
                 if plan.parallel {
                     // Parallel plans draw per-worker banks from the pooled
                     // scratch slots instead of the serial arena.
-                    self.arena.warm_parallel(&plan.cfg, bits, b);
+                    self.arena.warm_parallel(&plan.cfg, plan.n, bits, b);
                 } else {
-                    let provisioned = self.arena.warm_biq(&plan.cfg, b);
+                    let provisioned = self.arena.warm_biq(&plan.cfg, plan.n, b);
                     debug_assert!(
                         b != plan.batch_hint || provisioned == plan.scratch,
                         "plan.scratch out of sync with the arena's provisioning"

@@ -231,7 +231,7 @@ impl PlanBuilder {
             parallel,
             kernel,
             kernel_reason,
-            scratch: scratch_spec(&cfg, self.batch_hint),
+            scratch: scratch_spec(&cfg, self.n, self.batch_hint),
         }
     }
 }

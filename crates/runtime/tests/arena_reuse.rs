@@ -138,6 +138,50 @@ fn warmed_executor_is_allocation_free_from_the_first_run() {
 }
 
 #[test]
+fn gemv_over_many_chunk_tiles_is_allocation_free_once_warmed() {
+    let _serial = serial();
+    // b = 1 keeps one column's tables for every chunk resident (a width-1
+    // tile builds them all at once), so the warmed bank must hold
+    // ⌈n/µ⌉ tables, not one chunk tile's worth: 1024×2048 at µ = 8 under
+    // the default config spans 8 chunk tiles of 32 chunks. Serial and
+    // row-parallel plans alike allocate nothing from the first run on.
+    use biqgemm_core::{BiqConfig, Schedule};
+    let mut g = MatrixRng::seed_from(0xa1);
+    let (m, n) = (1024, 2048);
+    let w = g.gaussian(m, n, 0.0, 1.0);
+    let x = g.gaussian_col(n, 1, 0.0, 1.0);
+    let cfg = BiqConfig { schedule: Schedule::RowParallel, ..BiqConfig::default() };
+    assert_eq!(n.div_ceil(cfg.mu).div_ceil(cfg.tile_chunks), 8);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    for threading in [Threading::Serial, Threading::Parallel] {
+        let plan = PlanBuilder::new(m, n)
+            .batch_hint(1)
+            .backend(BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy })
+            .config(cfg)
+            .threading(threading)
+            .build();
+        let op = compile(&plan, WeightSource::Dense(&w));
+        let mut y = vec![0.0f32; m];
+        // One rayon thread: the parallel driver runs inline, so only its
+        // own buffers can show up in the count.
+        pool.install(|| {
+            let mut exec = Executor::warmed_for(&op);
+            let before = allocs();
+            for _ in 0..4 {
+                exec.run_into(&op, &x, &mut y);
+            }
+            let after = allocs();
+            assert_eq!(
+                after - before,
+                0,
+                "{threading:?}: warmed b=1 runs allocated {} times",
+                after - before
+            );
+        });
+    }
+}
+
+#[test]
 fn fp32_blocked_steady_state_allocates_nothing() {
     let _serial = serial();
     // The dense serving path shares the arena's pack panel.

@@ -55,7 +55,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Most models a [`LiveRegistry`] will track (live + retired) — mirrors
-/// the wire-side `MAX_MODELS` cap so a `ListModels` reply always fits.
+/// the wire-side `MAX_MODELS` cap so a `ListModels` reply always fits. At
+/// the cap a load forgets the oldest fully drained retired version to make
+/// room; it is refused only when every tracked version is live or still
+/// draining.
 pub const MAX_MODELS: usize = 256;
 
 /// Stable identifier of a registered op (an index into the registry's
@@ -216,7 +219,8 @@ pub enum ModelError {
         /// being swapped).
         resident: u64,
     },
-    /// The registry already tracks [`MAX_MODELS`] models (live + retired).
+    /// The registry already tracks [`MAX_MODELS`] models (live + retired)
+    /// and none of them is a retired version with nothing in flight.
     TooManyModels(usize),
     /// The artifact failed to decode/restore.
     Artifact(biq_artifact::ArtifactError),
@@ -333,6 +337,10 @@ struct Model {
 struct State {
     slots: Vec<SlotView>,
     models: Vec<Model>,
+    /// Highest version ever assigned per model name. Outlives the
+    /// `models` records forgotten at the cap, so a version number is never
+    /// reused and a stale `op@v` pin never resolves to a newer model.
+    versions: HashMap<String, u32>,
     loads: u64,
     unloads: u64,
     evictions: u64,
@@ -455,6 +463,7 @@ impl LiveRegistry {
                 version: 1,
             });
         }
+        state.versions.insert(model_name.clone(), 1);
         state.models.push(Model {
             name: model_name,
             version: 1,
@@ -534,9 +543,18 @@ impl LiveRegistry {
         let mem: u64 = new_ops.iter().map(|(_, op)| op_mem_bytes(op)).sum();
 
         let mut st = self.state.lock().expect("registry state poisoned");
-        if st.models.len() >= MAX_MODELS {
-            return Err(ModelError::TooManyModels(st.models.len()));
-        }
+        // At the cap, the oldest retired version with nothing in flight
+        // makes room (dropped only once this load commits). A retired
+        // version admits nothing, so its in-flight count cannot rise again.
+        let forget = if st.models.len() < MAX_MODELS {
+            None
+        } else {
+            let drained = st
+                .models
+                .iter()
+                .position(|m| !m.live && m.stats.inflight.load(Ordering::Acquire) == 0);
+            Some(drained.ok_or(ModelError::TooManyModels(st.models.len()))?)
+        };
         // Op names may only be owned by one model name at a time.
         for m in st.models.iter().filter(|m| m.live && m.name != name) {
             for base in &m.op_bases {
@@ -549,8 +567,7 @@ impl LiveRegistry {
             }
         }
         let prev = st.models.iter().position(|m| m.live && m.name == name);
-        let version =
-            st.models.iter().filter(|m| m.name == name).map(|m| m.version).max().unwrap_or(0) + 1;
+        let version = st.versions.get(name).copied().unwrap_or(0) + 1;
 
         // Budget check before touching anything: the swapped-out version's
         // bytes free as part of this load, evictable cold models can free
@@ -624,6 +641,10 @@ impl LiveRegistry {
                 version,
             });
         }
+        if let Some(i) = forget {
+            st.models.remove(i);
+        }
+        st.versions.insert(name.to_string(), version);
         st.models.push(Model {
             name: name.to_string(),
             version,
@@ -990,6 +1011,47 @@ mod tests {
         assert_eq!(loaded.evicted, vec![("enc".to_string(), 1)]);
         assert!(live.lookup("enc0.attn.wq").is_none(), "evicted model stopped resolving");
         assert!(live.live_bytes() <= budget);
+    }
+
+    #[test]
+    fn loads_past_the_model_cap_forget_drained_versions_and_never_reuse_numbers() {
+        let live = boot(71, None);
+        let artifact = linear_artifact(72, 8, 16);
+        let mut last = 1;
+        for _ in 0..300 {
+            let loaded = live.load_model("boot", &artifact).expect("load past the cap");
+            assert!(loaded.version > last, "version {} after {last}", loaded.version);
+            last = loaded.version;
+        }
+        assert_eq!(last, 301);
+        let models = live.models();
+        assert_eq!(models.len(), MAX_MODELS, "the fleet view stays at the cap");
+        assert_eq!((models[0].version, models[0].live), (301, true));
+        assert!(live.lookup("linear@1").is_none(), "a forgotten version stays retired");
+        assert_eq!(live.lookup("linear@301"), live.lookup("linear"));
+
+        // Unload the name entirely: the next load still continues the
+        // sequence instead of restarting at 1.
+        live.unload_model("boot", 0).unwrap();
+        assert_eq!(live.load_model("boot", &artifact).unwrap().version, 302);
+    }
+
+    #[test]
+    fn the_cap_refuses_only_when_every_version_is_live_or_draining() {
+        let live = boot(81, None);
+        let artifact = linear_artifact(82, 8, 16);
+        for _ in 1..MAX_MODELS {
+            live.load_model("boot", &artifact).unwrap();
+        }
+        // Hold an admission on every retired version: none can be forgotten.
+        let snap = live.snapshot();
+        let guards: Vec<_> = snap.slots.iter().map(|s| live.begin(s)).collect();
+        assert!(matches!(
+            live.load_model("boot", &artifact),
+            Err(ModelError::TooManyModels(MAX_MODELS))
+        ));
+        drop(guards);
+        assert_eq!(live.load_model("boot", &artifact).unwrap().version, MAX_MODELS as u32 + 1);
     }
 
     #[test]

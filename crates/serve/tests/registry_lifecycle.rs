@@ -88,7 +88,9 @@ proptest! {
                 let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let Some(id) = client.registry().lookup("linear") else { continue };
-                    let version = slot_version.read().unwrap()[&id];
+                    // A load publishes its slot before the sequence records
+                    // the slot's version; submit only once it is recorded.
+                    let Some(&version) = slot_version.read().unwrap().get(&id) else { continue };
                     match client.try_submit(id, x.clone()) {
                         Ok(ticket) => {
                             let y = ticket.wait().expect("accepted requests always answer");
