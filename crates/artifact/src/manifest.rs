@@ -14,7 +14,7 @@
 
 use crate::container::{ArtifactError, SectionId};
 use biq_runtime::{BackendSpec, QuantMethod};
-use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest, LutBuildMethod, LutLayout, Schedule};
+use biqgemm_core::{BiqConfig, KernelLevel, KernelRequest, Schedule};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Section `kind` tags referenced by manifests (free-form u32 namespace of
@@ -145,8 +145,7 @@ pub struct LayerManifest {
     pub batch_hint: usize,
     /// Kernel family + quantization recipe.
     pub spec: BackendSpec,
-    /// Full engine configuration (µ, tiles, layout, schedule, kernel
-    /// request).
+    /// Full engine configuration (µ, tiles, schedule, kernel request).
     pub cfg: BiqConfig,
     /// The resolved threading decision (stored resolved so a loaded model
     /// plans identically on any machine).
@@ -244,14 +243,10 @@ fn put_cfg(buf: &mut BytesMut, cfg: &BiqConfig) {
     buf.put_u32_le(cfg.tile_rows as u32);
     buf.put_u32_le(cfg.tile_chunks as u32);
     buf.put_u32_le(cfg.tile_batch as u32);
-    buf.put_u8(match cfg.build {
-        LutBuildMethod::DynamicProgramming => 0,
-        LutBuildMethod::Gemm => 1,
-    });
-    buf.put_u8(match cfg.layout {
-        LutLayout::KeyMajor => 0,
-        LutLayout::BatchMajor => 1,
-    });
+    // Reserved LUT build-method and LUT-layout bytes: Algorithm 1 into the
+    // key-major bank is the only engine, recorded as 0 for both.
+    buf.put_u8(0);
+    buf.put_u8(0);
     buf.put_u8(match cfg.schedule {
         Schedule::RowParallel => 0,
         Schedule::SharedLut => 1,
@@ -463,16 +458,12 @@ impl Reader {
         let tile_rows = self.u32()? as usize;
         let tile_chunks = self.u32()? as usize;
         let tile_batch = self.u32()? as usize;
-        let build = match self.u8()? {
-            0 => LutBuildMethod::DynamicProgramming,
-            1 => LutBuildMethod::Gemm,
-            other => return Err(bad(format!("unknown LUT build method {other}"))),
-        };
-        let layout = match self.u8()? {
-            0 => LutLayout::KeyMajor,
-            1 => LutLayout::BatchMajor,
-            other => return Err(bad(format!("unknown LUT layout {other}"))),
-        };
+        for field in ["LUT build method", "LUT layout"] {
+            let v = self.u8()?;
+            if v != 0 {
+                return Err(bad(format!("unsupported {field} {v} (reserved, must be 0)")));
+            }
+        }
         let schedule = match self.u8()? {
             0 => Schedule::RowParallel,
             1 => Schedule::SharedLut,
@@ -492,7 +483,7 @@ impl Reader {
         if tile_rows == 0 || tile_chunks == 0 || tile_batch == 0 {
             return Err(bad("zero tile dimension"));
         }
-        Ok(BiqConfig { mu, tile_rows, tile_chunks, tile_batch, build, layout, schedule, kernel })
+        Ok(BiqConfig { mu, tile_rows, tile_chunks, tile_batch, schedule, kernel })
     }
 
     fn payload(&mut self) -> Result<PayloadRefs, ArtifactError> {
@@ -628,6 +619,24 @@ mod tests {
         // dims count lives at offset 1 (after the kind byte).
         raw[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(ModelManifest::decode(Bytes::from(raw)).is_err());
+    }
+
+    #[test]
+    fn nonzero_lut_build_or_layout_byte_rejected() {
+        // Offset of the first layer's BiqConfig: the encoding up to the
+        // layer list, then name, m/n/batch_hint and the 7-byte spec.
+        let m = sample();
+        let head = ModelManifest { layers: Vec::new(), ..sample() }.encode().len();
+        let cfg_at = head + 4 + m.layers[0].name.len() + 3 * 8 + 7;
+        // µ (1) + tile_rows/chunks/batch (3 × 4), then the two bytes.
+        for (offset, field) in [(13, "LUT build method"), (14, "LUT layout")] {
+            let mut raw = m.encode().to_vec();
+            assert_eq!(raw[cfg_at + offset], 0, "{field} byte is written as 0");
+            raw[cfg_at + offset] = 1;
+            let err = ModelManifest::decode(Bytes::from(raw)).unwrap_err();
+            assert!(matches!(err, ArtifactError::Manifest(_)), "{err:?}");
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

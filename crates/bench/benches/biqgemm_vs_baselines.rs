@@ -2,14 +2,15 @@
 //! shape (2K×2K weights, batch 32, 1-bit) plus the parallel schedules
 //! ablation (RowParallel vs SharedLut).
 
-use biq_bench::workloads::binary_workload;
+use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::packed_sgemm::DenseBinaryWeights;
 use biq_gemm::unpack_gemm::gemm_with_unpack;
 use biq_gemm::xnor::{xnor_gemm, XnorWeights};
 use biq_gemm::{gemm_blocked, gemm_naive};
 use biq_quant::packing::{PackedRowsU32, PackedRowsU64};
+use biq_runtime::{Executor, Threading, WeightSource};
 use biqgemm_core::config::Schedule;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_core::BiqConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -20,15 +21,21 @@ fn bench_kernels(c: &mut Criterion) {
     let dense_bin = DenseBinaryWeights::unscaled(&w.signs);
     let packed32 = PackedRowsU32::pack(&w.signs);
     let xw = XnorWeights::new(vec![(vec![1.0; m], PackedRowsU64::pack(&w.signs))]);
-    let engine = BiqGemm::from_signs(&w.signs, BiqConfig::default());
+    let biq = |cfg: BiqConfig, threading| {
+        biq_op(WeightSource::Signs(&w.signs), (m, n), 1, cfg, b, threading)
+    };
+    let serial = biq(BiqConfig::default(), Threading::Serial);
+    let parallel = biq(BiqConfig::default(), Threading::Parallel);
+    let (mut serial_exec, mut parallel_exec) =
+        (Executor::warmed_for(&serial), Executor::warmed_for(&parallel));
 
     let mut group = c.benchmark_group("kernels_2kx2k_b32");
     group.sample_size(12);
     group.bench_function("biqgemm_serial", |bch| {
-        bch.iter(|| black_box(engine.matmul(black_box(&w.x))))
+        bch.iter(|| black_box(serial_exec.run(&serial, black_box(&w.x))))
     });
     group.bench_function("biqgemm_parallel", |bch| {
-        bch.iter(|| black_box(engine.matmul_parallel(black_box(&w.x))))
+        bch.iter(|| black_box(parallel_exec.run(&parallel, black_box(&w.x))))
     });
     group.bench_function("gemm_naive", |bch| {
         bch.iter(|| black_box(gemm_naive(black_box(&dense), black_box(&w.x))))
@@ -55,10 +62,9 @@ fn bench_kernels(c: &mut Criterion) {
     for (name, schedule) in
         [("row_parallel", Schedule::RowParallel), ("shared_lut", Schedule::SharedLut)]
     {
-        let engine = BiqGemm::from_signs(&w.signs, BiqConfig { schedule, ..BiqConfig::default() });
-        group.bench_function(name, |bch| {
-            bch.iter(|| black_box(engine.matmul_parallel(black_box(&w.x))))
-        });
+        let op = biq(BiqConfig { schedule, ..BiqConfig::default() }, Threading::Parallel);
+        let mut exec = Executor::warmed_for(&op);
+        group.bench_function(name, |bch| bch.iter(|| black_box(exec.run(&op, black_box(&w.x)))));
     }
     group.finish();
 }

@@ -1,32 +1,12 @@
-//! Criterion microbench: the query/accumulate kernel under the two LUT
-//! layouts (Fig. 6 ablation — KeyMajor should win for batched inputs), plus
-//! the arena-reuse ablation (one-shot legacy facade vs warmed executor).
+//! Criterion microbench: the query/accumulate kernel per kernel level, the
+//! warmed executor's steady state in the small-batch regime, and the
+//! width-1 gather body on its own.
 
-use biq_bench::workloads::binary_workload;
-use biq_runtime::{compile, BackendSpec, Executor, PlanBuilder, QuantMethod, WeightSource};
-use biqgemm_core::config::{BiqConfig, LutLayout};
-use biqgemm_core::BiqGemm;
+use biq_bench::workloads::{binary_workload, biq_op};
+use biq_runtime::{Executor, Threading, WeightSource};
+use biqgemm_core::config::BiqConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-
-fn bench_query_layouts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("query_layout");
-    group.sample_size(20);
-    let (m, n) = (2048, 1024);
-    for b in [1usize, 32] {
-        let w = binary_workload(m, n, b);
-        for (name, layout) in
-            [("key_major", LutLayout::KeyMajor), ("batch_major", LutLayout::BatchMajor)]
-        {
-            let engine =
-                BiqGemm::from_signs(&w.signs, BiqConfig { layout, ..BiqConfig::default() });
-            group.bench_with_input(BenchmarkId::new(name, b), &b, |bch, _| {
-                bch.iter(|| black_box(engine.matmul(black_box(&w.x))));
-            });
-        }
-    }
-    group.finish();
-}
 
 fn bench_kernel_levels(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_kernel_level");
@@ -36,34 +16,25 @@ fn bench_kernel_levels(c: &mut Criterion) {
     for level in biqgemm_core::simd::supported_levels() {
         let cfg =
             BiqConfig { kernel: biqgemm_core::KernelRequest::Exact(level), ..BiqConfig::default() };
-        let engine = BiqGemm::from_signs(&w.signs, cfg);
+        let op = biq_op(WeightSource::Signs(&w.signs), (m, n), 1, cfg, b, Threading::Serial);
+        let mut exec = Executor::warmed_for(&op);
         group.bench_function(level.name(), |bch| {
-            bch.iter(|| black_box(engine.matmul(black_box(&w.x))));
+            bch.iter(|| black_box(exec.run(&op, black_box(&w.x))));
         });
     }
     group.finish();
 }
 
-/// The refactor's headline: per-call allocation (legacy one-shot facade)
-/// vs the executor's warmed arena, in the paper's small-batch regime. Both
-/// sides run the identical `BiqConfig::default()` tile shapes so the only
-/// difference is scratch reuse.
+/// The warmed executor's allocation-free steady state (`run_into` a
+/// caller buffer) in the paper's small-batch regime, default tile shapes.
 fn bench_arena_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("arena_reuse");
     group.sample_size(20);
     for (m, n, b) in [(512usize, 512usize, 1usize), (512, 512, 8), (2048, 1024, 1)] {
         let w = binary_workload(m, n, b);
-        let engine = BiqGemm::from_signs(&w.signs, BiqConfig::default());
         let id = format!("{m}x{n}_b{b}");
-        group.bench_with_input(BenchmarkId::new("one_shot", &id), &b, |bch, _| {
-            bch.iter(|| black_box(engine.matmul(black_box(&w.x))));
-        });
-        let plan = PlanBuilder::new(m, n)
-            .batch_hint(b)
-            .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
-            .config(BiqConfig::default())
-            .build();
-        let op = compile(&plan, WeightSource::Signs(&w.signs));
+        let signs = WeightSource::Signs(&w.signs);
+        let op = biq_op(signs, (m, n), 1, BiqConfig::default(), b, Threading::Auto);
         let mut exec = Executor::warmed_for(&op);
         let mut y = vec![0.0f32; m * b];
         group.bench_with_input(BenchmarkId::new("executor_arena", &id), &b, |bch, _| {
@@ -110,11 +81,5 @@ fn bench_width1_gather(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_query_layouts,
-    bench_kernel_levels,
-    bench_arena_reuse,
-    bench_width1_gather
-);
+criterion_group!(benches, bench_kernel_levels, bench_arena_reuse, bench_width1_gather);
 criterion_main!(benches);

@@ -9,10 +9,11 @@
 use biq_bench::args::{self, with_pool};
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure, Measurement};
-use biq_bench::workloads::binary_workload;
+use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::par_gemm_blocked;
+use biq_runtime::{Executor, Threading, WeightSource};
 use biqgemm_core::config::Schedule;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
@@ -24,14 +25,10 @@ fn main() {
     println!("Thread-scaling ablation: {m}x{n} 1-bit weights, batch {b}\n");
     let w = binary_workload(m, n, b);
     let dense = w.signs.to_f32();
-    let row_engine = BiqGemm::from_signs(
-        &w.signs,
-        BiqConfig { schedule: Schedule::RowParallel, ..BiqConfig::default() },
-    );
-    let shared_engine = BiqGemm::from_signs(
-        &w.signs,
-        BiqConfig { schedule: Schedule::SharedLut, ..BiqConfig::default() },
-    );
+    let [row_op, shared_op] = [Schedule::RowParallel, Schedule::SharedLut].map(|schedule| {
+        let cfg = BiqConfig { schedule, ..BiqConfig::default() };
+        biq_op(WeightSource::Signs(&w.signs), (m, n), 1, cfg, b, Threading::Parallel)
+    });
     let mut t = Table::new(&[
         "threads",
         "BiQ row-par ms",
@@ -44,12 +41,15 @@ fn main() {
     for &nt in &threads {
         let (m_row, m_shared, m_gemm): (Measurement, Measurement, Measurement) =
             with_pool(Some(nt), || {
-                let reps = auto_reps(Duration::from_millis(400), 3, 15, || {
-                    row_engine.matmul_parallel(&w.x)
-                });
+                // Warmed inside the pool, so each executor's per-worker
+                // scratch matches this thread count.
+                let mut row_exec = Executor::warmed_for(&row_op);
+                let mut shared_exec = Executor::warmed_for(&shared_op);
+                let reps =
+                    auto_reps(Duration::from_millis(400), 3, 15, || row_exec.run(&row_op, &w.x));
                 (
-                    measure(1, reps, || row_engine.matmul_parallel(&w.x)),
-                    measure(1, reps, || shared_engine.matmul_parallel(&w.x)),
+                    measure(1, reps, || row_exec.run(&row_op, &w.x)),
+                    measure(1, reps, || shared_exec.run(&shared_op, &w.x)),
                     measure(1, reps, || par_gemm_blocked(&dense, &w.x)),
                 )
             });

@@ -9,8 +9,9 @@
 use biq_bench::args;
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::auto_reps;
-use biq_bench::workloads::binary_workload;
-use biqgemm_core::{BiqConfig, BiqGemm, PhaseProfile};
+use biq_bench::workloads::{binary_workload, biq_op};
+use biq_runtime::{Executor, Threading, WeightSource};
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
@@ -26,15 +27,15 @@ fn main() {
         let mut t = Table::new(&["m", "build %", "query %", "replace %", "total ms"]);
         for &m in &sizes {
             let w = binary_workload(m, n, b);
-            let engine = BiqGemm::from_signs(&w.signs, BiqConfig::default());
-            let reps = auto_reps(Duration::from_millis(300), 3, 30, || {
-                let mut p = PhaseProfile::new();
-                engine.matmul_profiled(&w.x, &mut p)
-            });
-            let mut profile = PhaseProfile::new();
+            let signs = WeightSource::Signs(&w.signs);
+            let op = biq_op(signs, (m, n), 1, BiqConfig::default(), b, Threading::Serial);
+            let mut exec = Executor::warmed_for(&op);
+            let reps = auto_reps(Duration::from_millis(300), 3, 30, || exec.run(&op, &w.x));
+            exec.reset_profile();
             for _ in 0..reps {
-                std::hint::black_box(engine.matmul_profiled(&w.x, &mut profile));
+                std::hint::black_box(exec.run(&op, &w.x));
             }
+            let profile = exec.profile();
             let (build, query, replace) = profile.fractions();
             t.row(&[
                 m.to_string(),

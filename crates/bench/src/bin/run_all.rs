@@ -13,7 +13,7 @@ use biq_runtime::{
     Threading, WeightSource,
 };
 use biqgemm_core::layout::LutBank;
-use biqgemm_core::{BiqConfig, LutBuildMethod, LutLayout, PhaseProfile};
+use biqgemm_core::{BiqConfig, PhaseProfile};
 use std::io::Write as _;
 use std::path::Path;
 use std::process::Command;
@@ -113,7 +113,7 @@ struct SimdRow {
     /// Median of the full serial BiQGEMM pass (query-dominated — the fused
     /// lookup-accumulate kernel under test).
     query_ns: u128,
-    /// Median of one KeyMajor DP bank build at the config's tile shape.
+    /// Median of one DP bank build at the config's tile shape.
     lut_build_ns: u128,
 }
 
@@ -158,21 +158,11 @@ fn bench_simd_levels() -> (Vec<SimdRow>, KernelLevel) {
             let input = biq_matrix::reshape::ChunkedInput::new(&w.x, cfg.mu);
             let nc = cfg.tile_chunks.min(input.num_chunks());
             let nb = cfg.tile_batch.min(b);
-            let mut bank = LutBank::new(cfg.mu, LutLayout::KeyMajor);
+            let mut bank = LutBank::new(cfg.mu);
             bank.reserve(nc, nb);
             let mut prof = PhaseProfile::new();
-            let m_build = measure(1, reps.max(20), || {
-                bank.build(
-                    &input,
-                    0,
-                    nc,
-                    0,
-                    nb,
-                    LutBuildMethod::DynamicProgramming,
-                    &mut prof,
-                    kernel,
-                )
-            });
+            let m_build =
+                measure(1, reps.max(20), || bank.build(&input, 0, nc, 0, nb, &mut prof, kernel));
             rows.push(SimdRow {
                 m,
                 n,

@@ -18,11 +18,12 @@
 use biq_bench::args::{self, with_pool};
 use biq_bench::table::{fmt_f, Table};
 use biq_bench::timing::{auto_reps, measure};
-use biq_bench::workloads::binary_workload;
+use biq_bench::workloads::{binary_workload, biq_op};
 use biq_gemm::xnor::{xnor_gemm, XnorWeights};
 use biq_gemm::{par_gemm_blocked, par_gemm_naive};
 use biq_quant::packing::PackedRowsU64;
-use biqgemm_core::{BiqConfig, BiqGemm};
+use biq_runtime::{Executor, Threading, WeightSource};
+use biqgemm_core::BiqConfig;
 use std::time::Duration;
 
 fn main() {
@@ -51,11 +52,12 @@ fn run(a: &biq_bench::args::CommonArgs, sizes: &[usize], batches: &[usize]) {
         for &b in batches {
             let w = binary_workload(n, n, b);
             let dense = w.signs.to_f32();
-            let engine = BiqGemm::from_signs(&w.signs, BiqConfig::default());
+            let signs = WeightSource::Signs(&w.signs);
+            let op = biq_op(signs, (n, n), 1, BiqConfig::default(), b, Threading::Parallel);
+            let mut exec = Executor::warmed_for(&op);
             let xw = XnorWeights::new(vec![(vec![1.0f32; n], PackedRowsU64::pack(&w.signs))]);
-            let reps =
-                auto_reps(Duration::from_millis(300), 3, 20, || engine.matmul_parallel(&w.x));
-            let m_biq = measure(1, reps, || engine.matmul_parallel(&w.x));
+            let reps = auto_reps(Duration::from_millis(300), 3, 20, || exec.run(&op, &w.x));
+            let m_biq = measure(1, reps, || exec.run(&op, &w.x));
             let m_kgpu = measure(1, reps, || par_gemm_naive(&dense, &w.x));
             let m_cublas = measure(1, reps, || par_gemm_blocked(&dense, &w.x));
             let m_xnor = measure(1, reps, || xnor_gemm(&xw, &w.x, xnor_kernel));

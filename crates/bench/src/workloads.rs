@@ -2,6 +2,10 @@
 //! filled by random numbers").
 
 use biq_matrix::{ColMatrix, MatrixRng, SignMatrix};
+use biq_runtime::{
+    compile, BackendSpec, CompiledOp, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
+use biqgemm_core::BiqConfig;
 
 /// Deterministic seed derived from a workload shape, so every experiment
 /// binary regenerates identical data for identical parameters.
@@ -33,6 +37,27 @@ pub fn binary_workload(m: usize, n: usize, b: usize) -> BinaryWorkload {
 /// Gaussian fp32 weights for quantization-quality experiments.
 pub fn gaussian_weights(m: usize, n: usize, seed: u64) -> biq_matrix::Matrix {
     MatrixRng::seed_from(seed).gaussian(m, n, 0.0, 1.0)
+}
+
+/// A BiQGEMM op over `bits`-plane `m × n` weights, planned with exactly
+/// `cfg` and `threading` at batch `b` — how the experiment binaries run
+/// the kernel, through the same `biq_runtime` path as every other caller.
+/// The batch hint keeps Auto's width-1 kernel clamp off batched runs.
+pub fn biq_op(
+    weights: WeightSource<'_>,
+    (m, n): (usize, usize),
+    bits: usize,
+    cfg: BiqConfig,
+    b: usize,
+    threading: Threading,
+) -> CompiledOp {
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+        .config(cfg)
+        .threading(threading)
+        .build();
+    compile(&plan, weights)
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ pub fn biqgemm_quantized_activations(
     let mut arena = BiqArena::new();
     let mut partial = vec![0.0f32; m * b];
     // Plan-time resolution for this one-shot path (errors surface as the
-    // kernel layer's message, like `BiqGemm` construction).
+    // kernel layer's message, like `biq_runtime::PlanBuilder::build`).
     let kernel = cfg.kernel.resolve().unwrap_or_else(|e| panic!("{e}"));
     for (gammas, signs) in xq.planes() {
         biqgemm_serial_into(w, signs, cfg, kernel, &mut profile, &mut arena, &mut partial);
@@ -145,7 +145,7 @@ mod tests {
     use biq_quant::error_metrics::relative_l2;
     use biq_quant::greedy_quantize_matrix_rowwise;
 
-    /// Reference one-shot serial run (the old `biqgemm_tiled` facade).
+    /// Reference serial run through a fresh arena.
     fn biqgemm_tiled(
         w: &BiqWeights,
         x: &ColMatrix,

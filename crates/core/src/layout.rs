@@ -5,17 +5,14 @@
 //! stride even when its sub-vector is ragged (`L < µ`), keeping addressing
 //! uniform; only the first `2^L` entries are meaningful.
 //!
-//! Two layouts (see [`LutLayout`]):
-//!
-//! * **KeyMajor** (paper Fig. 6): `data[(c·2^µ + key)·nb + a]` — one lookup
-//!   yields a contiguous batch vector, so query accumulation vectorises.
-//!   Building scatters each freshly computed table across the batch stride —
-//!   that movement is charged to the **replace** phase.
-//! * **BatchMajor**: `data[(c·nb + a)·2^µ + key]` — tables are built in
-//!   place with zero scatter, but queries for `b > 1` gather.
+//! The layout is the paper's key-major bank (Fig. 6):
+//! `data[(c·2^µ + key)·nb + a]` — one lookup yields a contiguous batch
+//! vector, so query accumulation vectorises. The batched Algorithm 1 build
+//! gathers each chunk's sub-vector values across the batch stride first —
+//! that movement is charged to the **replace** phase. With one live batch
+//! column the layout is one contiguous table per chunk.
 
-use crate::config::{LutBuildMethod, LutLayout};
-use crate::lut::{build_lut_bruteforce, build_lut_dp_level};
+use crate::lut::build_lut_dp_level;
 use crate::profile::PhaseProfile;
 use crate::simd::{self, ResolvedKernel};
 use biq_matrix::reshape::ChunkedInput;
@@ -24,34 +21,18 @@ use biq_matrix::reshape::ChunkedInput;
 #[derive(Debug)]
 pub struct LutBank {
     data: Vec<f32>,
-    scratch: Vec<f32>,
-    /// Per-chunk gathered DP step vectors (`µ × nb`), KeyMajor build only.
+    /// Per-chunk gathered DP step vectors (`µ × nb`) of the batched build.
     steps: Vec<f32>,
     table: usize,
     num_chunks: usize,
     nb: usize,
-    layout: LutLayout,
 }
 
 impl LutBank {
-    /// Creates an empty bank for LUT-unit `mu` and layout `layout`.
-    pub fn new(mu: usize, layout: LutLayout) -> Self {
+    /// Creates an empty bank for LUT-unit `mu`.
+    pub fn new(mu: usize) -> Self {
         assert!((1..=16).contains(&mu), "µ must be in 1..=16");
-        Self {
-            data: Vec::new(),
-            scratch: vec![0.0; 1usize << mu],
-            steps: Vec::new(),
-            table: 1usize << mu,
-            num_chunks: 0,
-            nb: 0,
-            layout,
-        }
-    }
-
-    /// The layout of this bank.
-    #[inline]
-    pub fn layout(&self) -> LutLayout {
-        self.layout
+        Self { data: Vec::new(), steps: Vec::new(), table: 1usize << mu, num_chunks: 0, nb: 0 }
     }
 
     /// Pre-grows storage for `num_chunks` chunks × `nb` batch columns so a
@@ -84,7 +65,7 @@ impl LutBank {
     /// batch columns `[batch_start, batch_start + nb)` of `input`,
     /// overwriting the bank, with DP arithmetic running at the resolved
     /// kernel level `k`. Build arithmetic is charged to `profile.build`;
-    /// the KeyMajor scatter is charged to `profile.replace`.
+    /// the batched step gather is charged to `profile.replace`.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         &mut self,
@@ -93,7 +74,6 @@ impl LutBank {
         num_chunks: usize,
         batch_start: usize,
         nb: usize,
-        method: LutBuildMethod,
         profile: &mut PhaseProfile,
         k: ResolvedKernel,
     ) {
@@ -105,13 +85,12 @@ impl LutBank {
         if self.data.len() < needed {
             self.data.resize(needed, 0.0);
         }
-        // GEMV fast path: with one live batch column the KeyMajor and
-        // BatchMajor layouts coincide (entry (c, key) at c·2^µ + key), so
-        // every chunk is a contiguous single-table DP build. One timing
-        // scope around the whole loop — clock reads per *tile*, not per
-        // chunk, which matters for small-µ banks on virtualised hosts
-        // where each `Instant::now()` is a paravirtual clock read.
-        if nb == 1 && method == LutBuildMethod::DynamicProgramming {
+        // GEMV fast path: with one live batch column every chunk is a
+        // contiguous single-table DP build. One timing scope around the
+        // whole loop — clock reads per *tile*, not per chunk, which matters
+        // for small-µ banks on virtualised hosts where each
+        // `Instant::now()` is a paravirtual clock read.
+        if nb == 1 {
             let table = self.table;
             let data = &mut self.data;
             profile.time_build(|| {
@@ -124,170 +103,40 @@ impl LutBank {
             });
             return;
         }
-        for c in 0..num_chunks {
-            match self.layout {
-                LutLayout::BatchMajor => {
-                    for a in 0..nb {
-                        let sub = input.chunk(batch_start + a, chunk_start + c);
-                        let len = 1usize << sub.len();
-                        let off = (c * nb + a) * self.table;
-                        let dst = &mut self.data[off..off + len];
-                        profile.time_build(|| fill_table(method, sub, dst, k));
-                    }
-                }
-                LutLayout::KeyMajor => match method {
-                    // nb == 1 DP was handled by the contiguous fast path
-                    // above; here nb ≥ 2.
-                    LutBuildMethod::DynamicProgramming => {
-                        self.build_key_major_batched(
-                            input,
-                            chunk_start,
-                            c,
-                            batch_start,
-                            nb,
-                            profile,
-                            k,
-                        );
-                    }
-                    LutBuildMethod::Gemm => {
-                        // Brute-force path keeps the per-(chunk, batch)
-                        // scratch + scatter structure (it exists for the
-                        // ablation; the scatter is the replace phase).
-                        for a in 0..nb {
-                            let sub = input.chunk(batch_start + a, chunk_start + c);
-                            let len = 1usize << sub.len();
-                            let scratch = &mut self.scratch[..len];
-                            profile.time_build(|| fill_table(method, sub, scratch, k));
-                            let base = c * self.table * nb + a;
-                            let data = &mut self.data;
-                            let scratch = &self.scratch[..len];
-                            profile.time_replace(|| {
-                                for (k, &v) in scratch.iter().enumerate() {
-                                    data[base + k * nb] = v;
-                                }
-                            });
-                        }
-                    }
-                },
-            }
+        let seg_len = self.table * nb;
+        for (c, seg) in self.data[..needed].chunks_exact_mut(seg_len).enumerate() {
+            fill_chunk_key_major_dp(
+                seg,
+                &mut self.steps,
+                input,
+                chunk_start + c,
+                batch_start,
+                nb,
+                profile,
+                k,
+            );
         }
     }
 
-    /// Batch-vectorised Algorithm 1 directly in the Fig. 6 layout: table
-    /// entries are contiguous `nb`-vectors, and the DP recurrence
-    /// (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a vector add per entry.
-    /// The strided gather of sub-vector values across batch columns is the
-    /// residual "replace" (tiling data-movement) cost.
-    #[allow(clippy::too_many_arguments)]
-    fn build_key_major_batched(
-        &mut self,
-        input: &ChunkedInput<'_>,
-        chunk_start: usize,
-        c: usize,
-        batch_start: usize,
-        nb: usize,
-        profile: &mut PhaseProfile,
-        k: ResolvedKernel,
-    ) {
-        let l = input.chunk(batch_start, chunk_start + c).len();
-        debug_assert!(l >= 1);
-        let entries = 1usize << l;
-        // Gather phase (replace): steps[t][a] = 2·x_a[L−1−t], plus −Σx per
-        // batch column into entry 0.
-        let seg_base = c * self.table * nb;
-        if self.steps.len() < l.max(1) * nb {
-            self.steps.resize(l.max(1) * nb, 0.0);
-        }
-        let steps = &mut self.steps;
-        let data = &mut self.data;
-        profile.time_replace(|| {
-            for a in 0..nb {
-                let sub = input.chunk(batch_start + a, chunk_start + c);
-                let mut neg = 0.0f32;
-                for &v in sub {
-                    neg -= v;
-                }
-                data[seg_base + a] = neg;
-                for t in 0..l - 1 {
-                    steps[t * nb + a] = 2.0 * sub[l - 1 - t];
-                }
-            }
-        });
-        // DP fill (build): vector adds over contiguous nb-rows at the
-        // resolved kernel level — one dispatch per DP level / per mirror,
-        // so call overhead never scales with 2^µ.
-        let seg = &mut data[seg_base..seg_base + entries * nb];
-        profile.time_build(|| {
-            for t in 0..l - 1 {
-                let rows = 1usize << t;
-                let (lo, hi) = seg.split_at_mut(rows * nb);
-                let step = &steps[t * nb..t * nb + nb];
-                simd::dp_step_add_rows(&mut hi[..rows * nb], lo, step, k);
-            }
-            // Mirror: upper-half row r (global index 2^{l−1}+r) is the
-            // negation of lower-half row 2^{l−1}−1−r.
-            let half = 1usize << (l - 1);
-            let (lo, hi) = seg.split_at_mut(half * nb);
-            simd::negate_rows_reversed(hi, lo, nb, k);
-        });
-    }
-
-    /// KeyMajor: the contiguous batch vector for `(chunk_local, key)`.
-    ///
-    /// # Panics
-    /// Debug-panics when called on a BatchMajor bank.
+    /// The contiguous batch vector for `(chunk_local, key)`.
     #[inline]
     pub fn entry_vec(&self, chunk_local: usize, key: u16) -> &[f32] {
-        debug_assert_eq!(self.layout, LutLayout::KeyMajor);
         debug_assert!(chunk_local < self.num_chunks);
         let off = (chunk_local * self.table + key as usize) * self.nb;
         &self.data[off..off + self.nb]
     }
 
-    /// BatchMajor: the scalar entry for `(chunk_local, batch_local, key)`.
-    #[inline]
-    pub fn entry(&self, chunk_local: usize, batch_local: usize, key: u16) -> f32 {
-        debug_assert_eq!(self.layout, LutLayout::BatchMajor);
-        self.data[(chunk_local * self.nb + batch_local) * self.table + key as usize]
-    }
-
-    /// BatchMajor: the contiguous `2^µ` table for `(chunk_local,
-    /// batch_local)` — the natural GEMV-style access.
-    #[inline]
-    pub fn table_slice(&self, chunk_local: usize, batch_local: usize) -> &[f32] {
-        debug_assert_eq!(self.layout, LutLayout::BatchMajor);
-        let off = (chunk_local * self.nb + batch_local) * self.table;
-        &self.data[off..off + self.table]
-    }
-
-    /// Single-batch gather: with `nb == 1` both layouts store entry
-    /// `(chunk c, key)` at `c·2^µ + key`; sums the entries selected by one
-    /// key row in the **canonical accumulation-tree order** at the
-    /// resolved kernel level `k` — see [`crate::simd::lut_gather`]. That
-    /// is the same per-lane order as [`LutBank::query_fused`], so a column
-    /// packed into a width-1 batch tile rounds bit-for-bit like one packed
-    /// into any wider tile (batch-packing invariance;
-    /// `batch_invariance.rs` pins it) — and because the tree *is* the
-    /// natural SIMD shape, the b = 1 path is fast again instead of paying
-    /// for that invariance with a sequential chain.
-    ///
-    /// # Panics
-    /// Debug-panics unless exactly one batch column is resident.
-    #[inline]
-    pub fn gather(&self, keys: &[u16], k: ResolvedKernel) -> f32 {
-        debug_assert_eq!(self.nb, 1);
-        debug_assert!(keys.len() <= self.num_chunks);
-        simd::lut_gather(&self.data[..self.num_chunks * self.table], self.table, keys, k)
-    }
-
     /// Row-batched single-batch gather over the bank window that starts at
     /// resident chunk `chunk0`: for each row `i` of the key slab (whose
     /// first key belongs to chunk `chunk0`),
-    /// `y[i · y_stride] += scales[i] · gather(row_i)` — row for row the
-    /// identical canonical-tree sum as [`LutBank::gather`], but dispatched
-    /// and validated once per row block instead of once per output row,
-    /// with consecutive rows' gathers interleaved on x86. This is the
-    /// b = 1 serving hot loop; see [`crate::simd::lut_gather_rows`].
+    /// `y[i · y_stride] += scales[i] · Σ_c bank[c·2^µ + row_i[c]]`, summed
+    /// in the **canonical accumulation-tree order** at the resolved kernel
+    /// level `k` — the same per-lane order as [`LutBank::query_fused`], so
+    /// a column packed into a width-1 batch tile rounds bit-for-bit like
+    /// one packed into any wider tile (batch-packing invariance;
+    /// `batch_invariance.rs` pins it). Dispatched and validated once per
+    /// row block, with consecutive rows' gathers interleaved on x86. This
+    /// is the b = 1 serving hot loop; see [`crate::simd::lut_gather_rows`].
     ///
     /// # Panics
     /// Debug-panics unless exactly one batch column is resident; panics on
@@ -320,17 +169,16 @@ impl LutBank {
         );
     }
 
-    /// Fused Algorithm 2 query for one key row (KeyMajor):
+    /// Fused Algorithm 2 query for one key row:
     /// `y[a] += scale · Σ_ci entry_vec(ci, keys[ci])[a]`, accumulated in
     /// registers at the resolved kernel level — see
     /// [`crate::simd::lut_query_fused`].
     ///
     /// # Panics
-    /// Panics (or debug-panics) on a BatchMajor bank, a key row longer
-    /// than the resident chunks, or `y` shorter than the resident batch.
+    /// Panics (or debug-panics) on a key row longer than the resident
+    /// chunks, or `y` shorter than the resident batch.
     #[inline]
     pub fn query_fused(&self, keys: &[u16], scale: f32, y: &mut [f32], k: ResolvedKernel) {
-        debug_assert_eq!(self.layout, LutLayout::KeyMajor);
         debug_assert!(keys.len() <= self.num_chunks);
         simd::lut_query_fused(y, scale, &self.data, self.table, self.nb, keys, k);
     }
@@ -341,10 +189,17 @@ impl LutBank {
     }
 }
 
-/// Unprofiled batch-vectorised DP fill of one chunk's tables directly in the
-/// KeyMajor layout — shared by [`LutBank`] and the parallel SharedLut
-/// builder. `seg` must span `2^µ · nb` floats; `steps` is caller scratch
-/// (resized as needed).
+/// Algorithm 1 for one chunk's `nb` tables directly in the key-major
+/// layout — the one batched fill behind [`LutBank::build`] and the
+/// parallel SharedLut build phase. `seg` must span `2^µ · nb` floats;
+/// `steps` is caller scratch (resized as needed).
+///
+/// Table entries are contiguous `nb`-vectors, so the DP recurrence
+/// (`q[2^t + j] = q[j] + 2·x_{L−1−t}`) becomes a vector add per entry. The
+/// strided gather of sub-vector values across batch columns is charged to
+/// `profile.replace` (tiling data movement); the DP adds and the mirror
+/// negation to `profile.build`. A single live column is one contiguous
+/// table, built directly and charged to `profile.build`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_chunk_key_major_dp(
     seg: &mut [f32],
@@ -353,54 +208,59 @@ pub(crate) fn fill_chunk_key_major_dp(
     chunk: usize,
     batch_start: usize,
     nb: usize,
+    profile: &mut PhaseProfile,
     k: ResolvedKernel,
 ) {
     let l = input.chunk(batch_start, chunk).len();
+    debug_assert!(l >= 1);
     let entries = 1usize << l;
     if nb == 1 {
-        // Single live batch column: the layout degenerates to one
-        // contiguous table — build it directly.
         let sub = input.chunk(batch_start, chunk);
-        build_lut_dp_level(sub, &mut seg[..entries], k);
+        profile.time_build(|| build_lut_dp_level(sub, &mut seg[..entries], k));
         return;
     }
     if steps.len() < l.max(1) * nb {
         steps.resize(l.max(1) * nb, 0.0);
     }
-    for a in 0..nb {
-        let sub = input.chunk(batch_start + a, chunk);
-        let mut neg = 0.0f32;
-        for &v in sub {
-            neg -= v;
+    // Gather (replace): steps[t][a] = 2·x_a[L−1−t], plus −Σx per batch
+    // column into entry 0.
+    profile.time_replace(|| {
+        for a in 0..nb {
+            let sub = input.chunk(batch_start + a, chunk);
+            let mut neg = 0.0f32;
+            for &v in sub {
+                neg -= v;
+            }
+            seg[a] = neg;
+            for t in 0..l - 1 {
+                steps[t * nb + a] = 2.0 * sub[l - 1 - t];
+            }
         }
-        seg[a] = neg;
-        for t in 0..l - 1 {
-            steps[t * nb + a] = 2.0 * sub[l - 1 - t];
-        }
-    }
+    });
+    // DP fill (build): vector adds over contiguous nb-rows at the resolved
+    // kernel level — one dispatch per DP level / per mirror, so call
+    // overhead never scales with 2^µ.
     let seg = &mut seg[..entries * nb];
-    for t in 0..l - 1 {
-        let rows = 1usize << t;
-        let (lo, hi) = seg.split_at_mut(rows * nb);
-        let step = &steps[t * nb..t * nb + nb];
-        simd::dp_step_add_rows(&mut hi[..rows * nb], lo, step, k);
-    }
-    let half = 1usize << (l - 1);
-    let (lo, hi) = seg.split_at_mut(half * nb);
-    simd::negate_rows_reversed(hi, lo, nb, k);
-}
-
-#[inline]
-fn fill_table(method: LutBuildMethod, sub: &[f32], dst: &mut [f32], k: ResolvedKernel) {
-    match method {
-        LutBuildMethod::DynamicProgramming => build_lut_dp_level(sub, dst, k),
-        LutBuildMethod::Gemm => build_lut_bruteforce(sub, dst),
-    }
+    let steps = &steps[..];
+    profile.time_build(|| {
+        for t in 0..l - 1 {
+            let rows = 1usize << t;
+            let (lo, hi) = seg.split_at_mut(rows * nb);
+            let step = &steps[t * nb..t * nb + nb];
+            simd::dp_step_add_rows(&mut hi[..rows * nb], lo, step, k);
+        }
+        // Mirror: upper-half row r (global index 2^{l−1}+r) is the
+        // negation of lower-half row 2^{l−1}−1−r.
+        let half = 1usize << (l - 1);
+        let (lo, hi) = seg.split_at_mut(half * nb);
+        simd::negate_rows_reversed(hi, lo, nb, k);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lut::build_luts_gemm;
     use crate::mmu::key_dot;
     use crate::simd::KernelRequest;
     use biq_matrix::{ColMatrix, MatrixRng};
@@ -420,30 +280,28 @@ mod tests {
                 let sub = input.chunk(batch_start + a, chunk_start + c);
                 for k in 0..(1usize << sub.len()) {
                     let expected = key_dot(k as u16, sub);
-                    let got = match bank.layout() {
-                        LutLayout::KeyMajor => bank.entry_vec(c, k as u16)[a],
-                        LutLayout::BatchMajor => bank.entry(c, a, k as u16),
-                    };
+                    let got = bank.entry_vec(c, k as u16)[a];
                     assert!(
                         (got - expected).abs() < 1e-4,
-                        "layout {:?} chunk {c} batch {a} key {k}: {got} vs {expected}",
-                        bank.layout()
+                        "chunk {c} batch {a} key {k}: {got} vs {expected}"
                     );
                 }
             }
         }
     }
 
+    /// The two arrangements a bank takes: one contiguous table per chunk
+    /// (a single live column) and key-major batch vectors (`nb ≥ 2`).
     #[test]
     fn both_layouts_hold_correct_tables() {
         let mut g = MatrixRng::seed_from(220);
         let x = g.gaussian_col(20, 5, 0.0, 1.0); // n=20, µ=4 -> 5 chunks
         let input = ChunkedInput::new(&x, 4);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let mut bank = LutBank::new(4, layout);
+        for (b0, nb) in [(2, 1), (0, 5)] {
+            let mut bank = LutBank::new(4);
             let mut prof = PhaseProfile::new();
-            bank.build(&input, 0, 5, 0, 5, LutBuildMethod::DynamicProgramming, &mut prof, sk());
-            check_bank_contents(&bank, &input, 0, 0);
+            bank.build(&input, 0, 5, b0, nb, &mut prof, sk());
+            check_bank_contents(&bank, &input, 0, b0);
         }
     }
 
@@ -452,9 +310,9 @@ mod tests {
         let mut g = MatrixRng::seed_from(221);
         let x = g.gaussian_col(24, 8, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 4); // 6 chunks
-        let mut bank = LutBank::new(4, LutLayout::KeyMajor);
+        let mut bank = LutBank::new(4);
         let mut prof = PhaseProfile::new();
-        bank.build(&input, 2, 3, 5, 2, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        bank.build(&input, 2, 3, 5, 2, &mut prof, sk());
         assert_eq!(bank.num_chunks(), 3);
         assert_eq!(bank.batch(), 2);
         check_bank_contents(&bank, &input, 2, 5);
@@ -465,44 +323,52 @@ mod tests {
         let mut g = MatrixRng::seed_from(222);
         let x = g.gaussian_col(10, 3, 0.0, 1.0); // µ=4: chunks of 4,4,2
         let input = ChunkedInput::new(&x, 4);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let mut bank = LutBank::new(4, layout);
+        for (b0, nb) in [(1, 1), (0, 3)] {
+            let mut bank = LutBank::new(4);
             let mut prof = PhaseProfile::new();
-            bank.build(&input, 0, 3, 0, 3, LutBuildMethod::DynamicProgramming, &mut prof, sk());
-            check_bank_contents(&bank, &input, 0, 0);
+            bank.build(&input, 0, 3, b0, nb, &mut prof, sk());
+            check_bank_contents(&bank, &input, 0, b0);
         }
     }
 
+    /// On integer inputs the Algorithm 1 bank equals the Fig. 4(a) GEMM
+    /// construction (`M_µ · X`) entry for entry.
     #[test]
     fn gemm_method_matches_dp() {
         let mut g = MatrixRng::seed_from(223);
         let x = g.small_int_col(16, 4, 4);
         let input = ChunkedInput::new(&x, 4);
-        let mut dp = LutBank::new(4, LutLayout::KeyMajor);
-        let mut bf = LutBank::new(4, LutLayout::KeyMajor);
+        let mut dp = LutBank::new(4);
         let mut prof = PhaseProfile::new();
-        dp.build(&input, 0, 4, 0, 4, LutBuildMethod::DynamicProgramming, &mut prof, sk());
-        bf.build(&input, 0, 4, 0, 4, LutBuildMethod::Gemm, &mut prof, sk());
-        for c in 0..4 {
-            for k in 0..16u16 {
-                assert_eq!(dp.entry_vec(c, k), bf.entry_vec(c, k));
+        dp.build(&input, 0, 4, 0, 4, &mut prof, sk());
+        for a in 0..4 {
+            let mut bf = vec![0.0f32; 4 * 16];
+            build_luts_gemm((0..4).map(|c| input.chunk(a, c)), 4, &mut bf);
+            for c in 0..4 {
+                for k in 0..16u16 {
+                    assert_eq!(dp.entry_vec(c, k)[a], bf[c * 16 + k as usize]);
+                }
             }
         }
     }
 
+    /// Batched builds charge the step gather to replace; a single live
+    /// column (where key-major and batch-major coincide) charges none.
     #[test]
     fn keymajor_charges_replace_batchmajor_does_not() {
         let mut g = MatrixRng::seed_from(224);
         let x = g.gaussian_col(64, 16, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 8);
         let mut prof_km = PhaseProfile::new();
-        let mut km = LutBank::new(8, LutLayout::KeyMajor);
-        km.build(&input, 0, 8, 0, 16, LutBuildMethod::DynamicProgramming, &mut prof_km, sk());
+        let mut km = LutBank::new(8);
+        km.build(&input, 0, 8, 0, 16, &mut prof_km, sk());
+        assert!(prof_km.build > std::time::Duration::ZERO);
         assert!(prof_km.replace > std::time::Duration::ZERO);
-        let mut prof_bm = PhaseProfile::new();
-        let mut bm = LutBank::new(8, LutLayout::BatchMajor);
-        bm.build(&input, 0, 8, 0, 16, LutBuildMethod::DynamicProgramming, &mut prof_bm, sk());
-        assert_eq!(prof_bm.replace, std::time::Duration::ZERO);
+        let mut prof_w1 = PhaseProfile::new();
+        let mut w1 = LutBank::new(8);
+        w1.build(&input, 0, 8, 0, 1, &mut prof_w1, sk());
+        assert!(prof_w1.build > std::time::Duration::ZERO);
+        assert_eq!(prof_w1.replace, std::time::Duration::ZERO);
     }
 
     #[test]
@@ -510,12 +376,12 @@ mod tests {
         let mut g = MatrixRng::seed_from(225);
         let x = g.gaussian_col(32, 4, 0.0, 1.0);
         let input = ChunkedInput::new(&x, 8);
-        let mut bank = LutBank::new(8, LutLayout::BatchMajor);
+        let mut bank = LutBank::new(8);
         let mut prof = PhaseProfile::new();
-        bank.build(&input, 0, 4, 0, 4, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        bank.build(&input, 0, 4, 0, 4, &mut prof, sk());
         check_bank_contents(&bank, &input, 0, 0);
         // Rebuild a smaller region; stale data beyond it must not matter.
-        bank.build(&input, 1, 2, 1, 2, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        bank.build(&input, 1, 2, 1, 2, &mut prof, sk());
         check_bank_contents(&bank, &input, 1, 1);
     }
 
@@ -525,15 +391,15 @@ mod tests {
         let x = g.gaussian_col(26, 7, 0.0, 1.0); // µ=4 → 6 full chunks + ragged
         let input = ChunkedInput::new(&x, 4);
         let mut prof = PhaseProfile::new();
-        let mut reference = LutBank::new(4, LutLayout::KeyMajor);
-        reference.build(&input, 0, 7, 0, 7, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        let mut reference = LutBank::new(4);
+        reference.build(&input, 0, 7, 0, 7, &mut prof, sk());
         let keys: Vec<u16> = (0..7u16).map(|c| (c * 3) % 16).collect();
         let mut y_ref = vec![0.0f32; 7];
         reference.query_fused(&keys, 1.25, &mut y_ref, sk());
         for level in crate::simd::supported_levels() {
             let k = KernelRequest::Exact(level).resolve().unwrap();
-            let mut bank = LutBank::new(4, LutLayout::KeyMajor);
-            bank.build(&input, 0, 7, 0, 7, LutBuildMethod::DynamicProgramming, &mut prof, k);
+            let mut bank = LutBank::new(4);
+            bank.build(&input, 0, 7, 0, 7, &mut prof, k);
             for c in 0..7 {
                 for key in 0..16u16 {
                     let sub = input.chunk(0, c);
@@ -556,9 +422,9 @@ mod tests {
     fn resident_bytes_formula() {
         let x = ColMatrix::zeros(16, 2);
         let input = ChunkedInput::new(&x, 4);
-        let mut bank = LutBank::new(4, LutLayout::KeyMajor);
+        let mut bank = LutBank::new(4);
         let mut prof = PhaseProfile::new();
-        bank.build(&input, 0, 4, 0, 2, LutBuildMethod::DynamicProgramming, &mut prof, sk());
+        bank.build(&input, 0, 4, 0, 2, &mut prof, sk());
         assert_eq!(bank.resident_bytes(), 4 * 16 * 2 * 4);
     }
 }

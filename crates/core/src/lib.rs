@@ -17,9 +17,9 @@
 //!    paper's Algorithm 1 dynamic programming (vs `2^µ·µ` for brute force);
 //! 2. [`weights::BiqWeights`] packs sign planes into the key matrix `K`
 //!    (µ-bit keys, MSB-first) with per-row scales;
-//! 3. [`kernel`] queries tables and accumulates (`Y[i,α] += q^β_α[K[i,β]]`);
-//! 4. [`tiled`] adds the paper's LUT-stationary tiling (Algorithm 2) so live
-//!    tables fit in cache; [`parallel`] distributes tiles over threads.
+//! 3. [`tiled`] queries tables and accumulates (`Y[i,α] += q^β_α[K[i,β]]`)
+//!    under the paper's LUT-stationary tiling (Algorithm 2), so live tables
+//!    fit in cache; [`parallel`] distributes tiles over threads.
 //!
 //! Time complexity (paper Eq. 8–10): `O(2^µ·(n/µ)·b + m·(n/µ)·b)`, i.e.
 //! `≈ GEMM/µ` when `2^µ ≪ m`. The analytic model lives in [`complexity`],
@@ -30,18 +30,17 @@
 //!
 //! ## Execution model
 //!
-//! The preferred entry point is **`biq_runtime::Executor`**: build an
-//! `ExecutionPlan` (a thin layer over [`planner`]), `compile` it against
-//! weights, and run it against a reusable arena. Within this crate,
-//! [`arena::BiqArena`] owns the reusable scratch (LUT bank with its DP
-//! step vectors), [`parallel::ParallelArena`] pools per-worker copies of
-//! it for the rayon drivers, and [`tiled::biqgemm_serial_into`] /
-//! [`parallel::biqgemm_parallel_arena_into`] are the arena-threaded
-//! kernels every path funnels into. [`kernel::BiqGemm`] remains as a
-//! self-contained facade (one-shot arena per call). The historical free
-//! functions `biqgemm_tiled` / `biqgemv_tiled` / `biqgemm_parallel` have
-//! been **removed** — route repeat calls through `biq_runtime::Executor`
-//! and concurrent traffic through the `biq_serve` batching layer.
+//! The single entry point is **`biq_runtime::Executor`**: build an
+//! `ExecutionPlan` with `biq_runtime::PlanBuilder` (a thin layer over
+//! [`planner`]), `compile` it against weights, and run the compiled op
+//! against the executor's reusable arena — the quick start is the
+//! `biq_runtime` crate example. This crate holds what that runtime calls:
+//! [`arena::BiqArena`] owns the reusable scratch (LUT bank with its DP step
+//! vectors), [`parallel::ParallelArena`] pools per-worker copies of it for
+//! the rayon drivers, and [`tiled::biqgemm_serial_into`] /
+//! [`parallel::biqgemm_parallel_arena_into`] are the two arena-threaded
+//! kernels every serial and parallel plan runs. Concurrent traffic goes
+//! through the `biq_serve` batching layer.
 //!
 //! ## Kernel levels
 //!
@@ -57,28 +56,30 @@
 //! identical outputs on any other — see the [`simd`] module docs for the
 //! resolution rules, the `BIQ_KERNEL` override, and how to add an ISA.
 //!
-//! ## Quick start
+//! ## The kernel call under an executor
 //!
 //! ```
-//! use biq_matrix::{ColMatrix, MatrixRng};
-//! use biq_quant::greedy_quantize_matrix_rowwise;
-//! use biqgemm_core::{BiqConfig, BiqGemm};
+//! use biq_matrix::MatrixRng;
+//! use biqgemm_core::tiled::biqgemm_serial_into;
+//! use biqgemm_core::{BiqArena, BiqConfig, BiqWeights, PhaseProfile};
 //!
 //! let mut rng = MatrixRng::seed_from(1);
-//! let w = rng.gaussian(128, 64, 0.0, 1.0);        // m × n weights
-//! let x = rng.gaussian_col(64, 4, 0.0, 1.0);      // n × b activations
+//! let signs = rng.signs(128, 64);                 // m × n ±1 weights
+//! let x = rng.small_int_col(64, 4, 3);            // n × b activations
 //!
-//! let quant = greedy_quantize_matrix_rowwise(&w, 2); // 2-bit binary coding
-//! let engine = BiqGemm::new(&quant, BiqConfig::default());
-//! let y = engine.matmul(&x);                      // m × b output
-//! assert_eq!(y.shape(), (128, 4));
+//! let cfg = BiqConfig::default();
+//! let w = BiqWeights::from_signs_unscaled(&signs, cfg.mu);
+//! let kernel = cfg.kernel.resolve().expect("Auto always resolves"); // pinned at plan time
+//! let (mut arena, mut profile) = (BiqArena::new(), PhaseProfile::new());
+//! let mut y = vec![0.0f32; 128 * 4];              // row-major m × b
+//! biqgemm_serial_into(&w, &x, &cfg, kernel, &mut profile, &mut arena, &mut y);
+//! assert_eq!(y, signs.matmul(&x).as_slice());     // integer inputs: exact
 //! ```
 
 pub mod actquant;
 pub mod arena;
 pub mod complexity;
 pub mod config;
-pub mod kernel;
 pub mod layout;
 pub mod lut;
 pub mod mmu;
@@ -91,8 +92,7 @@ pub mod tiled;
 pub mod weights;
 
 pub use arena::BiqArena;
-pub use config::{BiqConfig, LutBuildMethod, LutLayout, Schedule};
-pub use kernel::BiqGemm;
+pub use config::{BiqConfig, Schedule};
 pub use parallel::ParallelArena;
 pub use profile::PhaseProfile;
 pub use simd::{host_best, KernelError, KernelLevel, KernelRequest, ResolvedKernel, KERNEL_ENV};

@@ -30,7 +30,8 @@
 //! ones per task, closing the gap the serial arena path already closed.
 
 use crate::arena::BiqArena;
-use crate::config::{BiqConfig, LutLayout, Schedule};
+use crate::config::{BiqConfig, Schedule};
+use crate::layout::fill_chunk_key_major_dp;
 use crate::profile::PhaseProfile;
 use crate::simd::{self, ResolvedKernel};
 use crate::tiled::run_tiles;
@@ -49,7 +50,7 @@ pub(crate) struct WorkerScratch {
     pub(crate) arena: BiqArena,
     /// Key-row ranges of the current row block (one per weight plane).
     pub(crate) ranges: Vec<(usize, usize)>,
-    /// DP step scratch for the SharedLut KeyMajor build phase.
+    /// DP step scratch for the SharedLut build phase.
     pub(crate) steps: Vec<f32>,
 }
 
@@ -176,23 +177,6 @@ pub fn biqgemm_parallel_arena_into(
     }
 }
 
-/// Parallel BiQGEMM into a caller-provided buffer with a throwaway scratch
-/// pool. Prefer [`biqgemm_parallel_arena_into`] (or the `biq_runtime`
-/// executor, which owns a persistent pool) on repeat-call paths.
-///
-/// # Panics
-/// Panics on dimension mismatch, `y.len() != m·b`, or invalid config.
-pub fn biqgemm_parallel_into(
-    w: &BiqWeights,
-    x: &ColMatrix,
-    cfg: &BiqConfig,
-    kernel: ResolvedKernel,
-    y: &mut [f32],
-) {
-    let pool = ParallelArena::with_current_threads();
-    biqgemm_parallel_arena_into(w, x, cfg, kernel, &pool, y);
-}
-
 /// Rows-per-task sizing: enough tasks for load balance, big enough blocks to
 /// amortise the replicated LUT builds.
 fn rows_per_task(m: usize) -> usize {
@@ -223,7 +207,7 @@ fn row_parallel(
         // Key rows for this block: every plane's copy of [row0, row0+rows).
         ranges.clear();
         ranges.extend((0..bits).map(|p| (p * m + row0, p * m + row0 + rows)));
-        let bank = arena.bank(w.mu(), cfg.layout);
+        let bank = arena.bank(w.mu());
         run_tiles(w, x, cfg, kernel, &mut profile, bank, ranges, yblock, row0);
     });
 }
@@ -259,30 +243,19 @@ fn shared_lut(
                 bank_buf.resize(needed, 0.0);
             }
             let bank = &mut bank_buf[..needed];
-            bank.par_chunks_mut(table * nb).enumerate().for_each(|(c, seg)| match cfg.layout {
-                LutLayout::KeyMajor => {
-                    let mut slot = pool.checkout();
-                    crate::layout::fill_chunk_key_major_dp(
-                        seg,
-                        &mut slot.steps,
-                        &input,
-                        c0 + c,
-                        b0,
-                        nb,
-                        kernel,
-                    );
-                }
-                LutLayout::BatchMajor => {
-                    for a in 0..nb {
-                        let sub = input.chunk(b0 + a, c0 + c);
-                        let len = 1usize << sub.len();
-                        crate::lut::build_lut_dp_level(
-                            sub,
-                            &mut seg[a * table..a * table + len],
-                            kernel,
-                        );
-                    }
-                }
+            bank.par_chunks_mut(table * nb).enumerate().for_each(|(c, seg)| {
+                let mut slot = pool.checkout();
+                let mut profile = PhaseProfile::new();
+                fill_chunk_key_major_dp(
+                    seg,
+                    &mut slot.steps,
+                    &input,
+                    c0 + c,
+                    b0,
+                    nb,
+                    &mut profile,
+                    kernel,
+                );
             });
             // Phase 2: query in parallel over disjoint output-row blocks,
             // fused lookup-accumulate at the pinned kernel level.
@@ -297,37 +270,20 @@ fn shared_lut(
                         let yoff = (out_row - row0) * b + b0;
                         let krow = &keys.key_row(r)[c0..c0 + nc];
                         if nb == 1 {
-                            // Width-1 tile: both layouts coincide, and the
-                            // canonical-order gather is the fast (and
-                            // bit-identical) form of the fused query.
+                            // Width-1 tile: the canonical-order gather is
+                            // the fast (and bit-identical) form of the
+                            // fused query.
                             yblock[yoff] += scale * simd::lut_gather(bank, table, krow, kernel);
-                            continue;
-                        }
-                        match cfg.layout {
-                            LutLayout::KeyMajor => {
-                                simd::lut_query_fused(
-                                    &mut yblock[yoff..yoff + nb],
-                                    scale,
-                                    bank,
-                                    table,
-                                    nb,
-                                    krow,
-                                    kernel,
-                                );
-                            }
-                            LutLayout::BatchMajor => {
-                                // Per-element gather in the canonical tree
-                                // order, matching the fused kernel bit for
-                                // bit.
-                                let yrow = &mut yblock[yoff..yoff + nb];
-                                for (a, yv) in yrow.iter_mut().enumerate() {
-                                    let mut s = simd::TreeAccumulator::new();
-                                    for (ci, &key) in krow.iter().enumerate() {
-                                        s.push(bank[(ci * nb + a) * table + key as usize]);
-                                    }
-                                    *yv += scale * s.finish();
-                                }
-                            }
+                        } else {
+                            simd::lut_query_fused(
+                                &mut yblock[yoff..yoff + nb],
+                                scale,
+                                bank,
+                                table,
+                                nb,
+                                krow,
+                                kernel,
+                            );
                         }
                     }
                 }
@@ -356,11 +312,11 @@ mod tests {
         y
     }
 
-    /// Test-local one-shot harness over the pooled entry point (the old
-    /// `biqgemm_parallel` free function, now deleted from the public API).
+    /// Test-local one-shot harness: a fresh pool per call.
     fn biqgemm_parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Matrix {
         let mut y = Matrix::zeros(w.output_size(), x.cols());
-        biqgemm_parallel_into(w, x, cfg, kernel_of(cfg), y.as_mut_slice());
+        let pool = ParallelArena::with_current_threads();
+        biqgemm_parallel_arena_into(w, x, cfg, kernel_of(cfg), &pool, y.as_mut_slice());
         y
     }
 
@@ -406,24 +362,6 @@ mod tests {
             };
             assert_eq!(biqgemm_parallel(&w, &x, &cfg).as_slice(), serial(&w, &x, &cfg).as_slice());
         }
-    }
-
-    #[test]
-    fn shared_lut_batchmajor_matches() {
-        let mut g = MatrixRng::seed_from(252);
-        let signs = g.signs(30, 40);
-        let x = g.small_int_col(40, 4, 3);
-        let w = BiqWeights::from_signs_unscaled(&signs, 4);
-        let cfg = BiqConfig {
-            mu: 4,
-            schedule: Schedule::SharedLut,
-            layout: LutLayout::BatchMajor,
-            tile_rows: 4,
-            tile_chunks: 3,
-            tile_batch: 2,
-            ..BiqConfig::default()
-        };
-        assert_eq!(biqgemm_parallel(&w, &x, &cfg).as_slice(), serial(&w, &x, &cfg).as_slice());
     }
 
     #[test]

@@ -61,14 +61,12 @@ pub struct ScratchSpec {
     pub lut_bank_floats: usize,
     /// Algorithm 1 step vectors: `µ · min(tile_batch, b)`.
     pub dp_steps_floats: usize,
-    /// Single-table build scratch (`2^µ`, GEMM build method only).
-    pub table_scratch_floats: usize,
 }
 
 impl ScratchSpec {
     /// Total scratch bytes.
     pub fn total_bytes(&self) -> usize {
-        (self.lut_bank_floats + self.dp_steps_floats + self.table_scratch_floats) * 4
+        (self.lut_bank_floats + self.dp_steps_floats) * 4
     }
 }
 
@@ -82,7 +80,6 @@ pub fn scratch_spec(cfg: &BiqConfig, n: usize, b: usize) -> ScratchSpec {
     ScratchSpec {
         lut_bank_floats: (cfg.tile_chunks * table * nb).max(n.div_ceil(cfg.mu) * table),
         dp_steps_floats: cfg.mu * nb,
-        table_scratch_floats: table,
     }
 }
 
@@ -224,8 +221,7 @@ mod runtime_planning_tests {
         let s = scratch_spec(&cfg, 64, 3); // batch smaller than the tile
         assert_eq!(s.lut_bank_floats, 4 * 256 * 3);
         assert_eq!(s.dp_steps_floats, 8 * 3);
-        assert_eq!(s.table_scratch_floats, 256);
-        assert_eq!(s.total_bytes(), (4 * 256 * 3 + 24 + 256) * 4);
+        assert_eq!(s.total_bytes(), (4 * 256 * 3 + 24) * 4);
         // Width-1 tiles hold one column's tables for every chunk.
         assert_eq!(scratch_spec(&cfg, 2048, 1).lut_bank_floats, 256 * 256);
         assert_eq!(scratch_spec(&cfg, 2048, 3).lut_bank_floats, 256 * 256);

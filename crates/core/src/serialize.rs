@@ -121,8 +121,10 @@ pub fn decode_weights(mut data: Bytes) -> Result<BiqWeights, WeightsDecodeError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::BiqArena;
     use crate::config::BiqConfig;
-    use crate::kernel::BiqGemm;
+    use crate::profile::PhaseProfile;
+    use crate::tiled::biqgemm_serial_into;
     use biq_matrix::MatrixRng;
     use biq_quant::greedy_quantize_matrix_rowwise;
 
@@ -149,9 +151,14 @@ mod tests {
         let w = BiqWeights::from_multibit(&q, 8);
         let x = g.gaussian_col(40, 3, 0.0, 1.0);
         let rt = decode_weights(encode_weights(&w)).unwrap();
-        let y1 = BiqGemm::from_weights(w, BiqConfig::default()).matmul(&x);
-        let y2 = BiqGemm::from_weights(rt, BiqConfig::default()).matmul(&x);
-        assert_eq!(y1.as_slice(), y2.as_slice());
+        let (cfg, kernel) = (BiqConfig::default(), crate::ResolvedKernel::host_best());
+        let run = |w: &BiqWeights| {
+            let mut y = vec![0.0f32; 20 * 3];
+            let (mut arena, mut p) = (BiqArena::new(), PhaseProfile::new());
+            biqgemm_serial_into(w, &x, &cfg, kernel, &mut p, &mut arena, &mut y);
+            y
+        };
+        assert_eq!(run(&w), run(&rt));
     }
 
     #[test]

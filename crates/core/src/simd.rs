@@ -43,11 +43,9 @@
 //!   `bank[c·2^µ + keys[c]]` into vector lanes (a hardware gather on
 //!   AVX2/AVX-512), the latency path of the paper's b = 1 serving regime;
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector adds and the mirror
-//!   negation of the batched Algorithm 1 LUT build (KeyMajor layout);
+//!   negation of the batched Algorithm 1 LUT build (key-major layout);
 //! * [`broadcast_add`] — the scalar-step DP recurrence of the single-table
-//!   build (BatchMajor / GEMV path);
-//! * [`add_assign`] / [`axpy`] — the original elementwise primitives, kept
-//!   for callers outside the fused path.
+//!   build (the width-1 / GEMV path).
 //!
 //! ## Bit-exactness and the canonical accumulation order
 //!
@@ -72,9 +70,8 @@
 //! standard horizontal-add ladder), and the batched fused kernels keep 8
 //! accumulator *vectors* per lane group so every batch lane sees the same
 //! per-element order. Scalar bodies emulate the tree with an 8-slot
-//! array; [`TreeAccumulator`] is the reference implementation for
-//! accumulation loops outside these dispatchers (e.g. the BatchMajor
-//! per-element query). Because scalar, every SIMD level, the width-1
+//! array; [`TreeAccumulator`] is the reference implementation the
+//! kernels are tested against. Because scalar, every SIMD level, the width-1
 //! gather and the batched kernel all realise this one order, cross-level
 //! bit-exactness **and** batch-packing invariance (a column rounds
 //! identically however it is packed into batch tiles) hold by
@@ -394,37 +391,7 @@ macro_rules! dispatch {
 
 // ------------------------------------------------------------ primitives
 
-/// `acc[i] += src[i]` for equal-length slices.
-///
-/// # Panics
-/// Debug-panics on length mismatch.
-#[inline]
-pub fn add_assign(acc: &mut [f32], src: &[f32], k: ResolvedKernel) {
-    debug_assert_eq!(acc.len(), src.len());
-    dispatch!(
-        k,
-        add_assign_scalar(acc, src),
-        avx2::add_assign(acc, src),
-        avx512::add_assign(acc, src),
-        neon::add_assign(acc, src)
-    )
-}
-
-/// `y[i] += a * x[i]` for equal-length slices. Multiply and add round
-/// separately on every level (no FMA), so all levels agree bit for bit.
-#[inline]
-pub fn axpy(y: &mut [f32], a: f32, x: &[f32], k: ResolvedKernel) {
-    debug_assert_eq!(y.len(), x.len());
-    dispatch!(
-        k,
-        axpy_scalar(y, a, x),
-        avx2::axpy(y, a, x),
-        avx512::axpy(y, a, x),
-        neon::axpy(y, a, x)
-    )
-}
-
-/// The µ-wide DP step of the batched Algorithm 1 build (KeyMajor layout)
+/// The µ-wide DP step of the batched Algorithm 1 build (key-major layout)
 /// over a whole half-table block: `dst[r·nb + a] = src[r·nb + a] +
 /// step[a]` for every row `r` — **one** dispatch per DP level, so the
 /// call overhead never scales with `2^µ`.
@@ -481,12 +448,12 @@ pub fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32, k: ResolvedKernel)
     )
 }
 
-/// The fused query kernel of Algorithm 2 (KeyMajor layout): for one key
+/// The fused query kernel of Algorithm 2 (key-major layout): for one key
 /// row, accumulate the looked-up batch vectors of every chunk in registers
 /// and apply the per-row scale in the same pass —
 /// `y[a] += scale · Σ_ci bank[(ci·table + keys[ci])·nb + a]`.
 ///
-/// `bank` is a KeyMajor tile base: chunk `ci`'s table starts at
+/// `bank` is a key-major tile base: chunk `ci`'s table starts at
 /// `ci · table · nb`, each of its `table = 2^µ` entries is a contiguous
 /// `nb`-float batch vector. Every level accumulates each batch lane in the
 /// canonical tree order (see the module docs) and rounds the final
@@ -524,7 +491,7 @@ pub fn lut_query_fused(
 
 /// The width-1 query kernel: `Σ_ci bank[ci·table + keys[ci]]` in the
 /// canonical accumulation-tree order (see the module docs) — the b = 1
-/// latency path, where the KeyMajor and BatchMajor layouts coincide.
+/// latency path, where the bank holds one contiguous table per chunk.
 ///
 /// On AVX2/AVX-512 the strided lookups become one hardware gather per 8
 /// chunks (the AVX-512 arm runs the 256-bit body: the canonical tree is 8
@@ -612,20 +579,6 @@ pub fn lut_gather_rows(
 // --------------------------------------------------------- scalar bodies
 
 #[inline]
-fn add_assign_scalar(acc: &mut [f32], src: &[f32]) {
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a += s;
-    }
-}
-
-#[inline]
-fn axpy_scalar(y: &mut [f32], a: f32, x: &[f32]) {
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += a * xv;
-    }
-}
-
-#[inline]
 fn dp_step_add_rows_scalar(dst: &mut [f32], src: &[f32], step: &[f32]) {
     let nb = step.len();
     for (drow, srow) in dst.chunks_exact_mut(nb).zip(src.chunks_exact(nb)) {
@@ -689,10 +642,9 @@ fn tree_reduce8(mut p: [f32; ACC_TREE_WIDTH]) -> f32 {
 
 /// Reference implementation of the canonical accumulation order: feed it
 /// values in ascending chunk order via [`TreeAccumulator::push`] and
-/// [`TreeAccumulator::finish`] folds the partials in the fixed tree.
-/// Accumulation loops that cannot route through [`lut_query_fused`] /
-/// [`lut_gather`] (e.g. the BatchMajor per-element query) use this to
-/// round bit-identically to them.
+/// [`TreeAccumulator::finish`] folds the partials in the fixed tree — the
+/// executable specification [`lut_query_fused`] and [`lut_gather`] are
+/// tested against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TreeAccumulator {
     partials: [f32; ACC_TREE_WIDTH],
@@ -801,50 +753,6 @@ fn lut_query_fused_scalar(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
-
-    /// # Safety
-    /// AVX2 must be available; slice lengths as checked by the dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign(acc: &mut [f32], src: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: loads/stores stay within the equal-length slices; the
-        // unaligned variants carry no alignment requirement.
-        unsafe {
-            while i + 8 <= n {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(a, s));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            acc[k] += src[k];
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available; slice lengths as checked by the dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        let n = y.len();
-        let mut i = 0;
-        // SAFETY: as above. Multiply and add round separately (no FMA) so
-        // the result matches scalar bit for bit.
-        unsafe {
-            let av = _mm256_set1_ps(a);
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                let prod = _mm256_mul_ps(av, xv);
-                _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(yv, prod));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            y[k] += a * x[k];
-        }
-    }
 
     /// # Safety
     /// AVX2 must be available; lengths as checked by the dispatcher.
@@ -1169,64 +1077,6 @@ mod avx512 {
     // run 8-wide inline instead of falling all the way to scalar.
 
     /// # Safety
-    /// AVX-512F + AVX2 must be available; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn add_assign(acc: &mut [f32], src: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: loads/stores stay within the equal-length slices.
-        unsafe {
-            while i + 16 <= n {
-                let a = _mm512_loadu_ps(acc.as_ptr().add(i));
-                let s = _mm512_loadu_ps(src.as_ptr().add(i));
-                _mm512_storeu_ps(acc.as_mut_ptr().add(i), _mm512_add_ps(a, s));
-                i += 16;
-            }
-            while i + 8 <= n {
-                let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(a, s));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            acc[k] += src[k];
-        }
-    }
-
-    /// # Safety
-    /// AVX-512F + AVX2 must be available; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        let n = y.len();
-        let mut i = 0;
-        // SAFETY: as above; separate multiply/add rounding (no FMA).
-        unsafe {
-            let av = _mm512_set1_ps(a);
-            while i + 16 <= n {
-                let yv = _mm512_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm512_loadu_ps(x.as_ptr().add(i));
-                let prod = _mm512_mul_ps(av, xv);
-                _mm512_storeu_ps(y.as_mut_ptr().add(i), _mm512_add_ps(yv, prod));
-                i += 16;
-            }
-            let av = _mm256_set1_ps(a);
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-                let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                let prod = _mm256_mul_ps(av, xv);
-                _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(yv, prod));
-                i += 8;
-            }
-        }
-        for k in i..n {
-            y[k] += a * x[k];
-        }
-    }
-
-    /// # Safety
     /// AVX-512F + AVX2 must be available; lengths as checked by the
     /// dispatcher.
     #[target_feature(enable = "avx512f", enable = "avx2")]
@@ -1428,50 +1278,6 @@ mod avx512 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use std::arch::aarch64::*;
-
-    /// # Safety
-    /// NEON is baseline on aarch64; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn add_assign(acc: &mut [f32], src: &[f32]) {
-        let n = acc.len();
-        let mut i = 0;
-        // SAFETY: loads/stores stay within the equal-length slices.
-        unsafe {
-            while i + 4 <= n {
-                let a = vld1q_f32(acc.as_ptr().add(i));
-                let s = vld1q_f32(src.as_ptr().add(i));
-                vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(a, s));
-                i += 4;
-            }
-        }
-        for k in i..n {
-            acc[k] += src[k];
-        }
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; slice lengths as checked by the
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
-        let n = y.len();
-        let mut i = 0;
-        // SAFETY: as above; separate multiply/add rounding (no FMA).
-        unsafe {
-            let av = vdupq_n_f32(a);
-            while i + 4 <= n {
-                let yv = vld1q_f32(y.as_ptr().add(i));
-                let xv = vld1q_f32(x.as_ptr().add(i));
-                let prod = vmulq_f32(av, xv);
-                vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(yv, prod));
-                i += 4;
-            }
-        }
-        for k in i..n {
-            y[k] += a * x[k];
-        }
-    }
 
     /// # Safety
     /// NEON is baseline on aarch64; lengths as checked by the dispatcher.
@@ -1729,37 +1535,6 @@ mod tests {
         }
         assert_eq!(KernelLevel::parse("AVX512"), Some(KernelLevel::Avx512));
         assert_eq!(KernelLevel::parse("sse9"), None);
-    }
-
-    #[test]
-    fn add_assign_bit_exact_across_levels() {
-        for k in supported_levels() {
-            let k = KernelRequest::Exact(k).resolve().unwrap();
-            for len in LENS {
-                let (a0, b) = vectors(len, 100 + len as u64);
-                let mut scalar = a0.clone();
-                add_assign_scalar(&mut scalar, &b);
-                let mut got = a0.clone();
-                add_assign(&mut got, &b, k);
-                assert_eq!(scalar, got, "{k} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_bit_exact_across_levels() {
-        // No FMA anywhere ⇒ exact equality, not tolerance.
-        for k in supported_levels() {
-            let k = KernelRequest::Exact(k).resolve().unwrap();
-            for len in LENS {
-                let (y0, x) = vectors(len, 200 + len as u64);
-                let mut scalar = y0.clone();
-                axpy_scalar(&mut scalar, 1.37, &x);
-                let mut got = y0.clone();
-                axpy(&mut got, 1.37, &x, k);
-                assert_eq!(scalar, got, "{k} len={len}");
-            }
-        }
     }
 
     #[test]

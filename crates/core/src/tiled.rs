@@ -24,10 +24,10 @@
 //! `run_width1` for why that changes no output bit.
 
 use crate::arena::BiqArena;
-use crate::config::{BiqConfig, LutLayout};
+use crate::config::BiqConfig;
 use crate::layout::LutBank;
 use crate::profile::PhaseProfile;
-use crate::simd::{ResolvedKernel, TreeAccumulator};
+use crate::simd::ResolvedKernel;
 use crate::weights::BiqWeights;
 use biq_matrix::reshape::ChunkedInput;
 use biq_matrix::view::tile_ranges;
@@ -40,10 +40,9 @@ use biq_matrix::ColMatrix;
 /// zeroed before accumulation. Once the arena has warmed to the workload's
 /// shape, repeat calls perform **no heap allocation**.
 ///
-/// This is the single serial code path: `BiqGemm::matmul` and the runtime
-/// executor both funnel here. (The historical one-shot free functions
-/// `biqgemm_tiled`/`biqgemv_tiled` are gone — route through
-/// `biq_runtime::Executor`, or `biq_serve` for concurrent traffic.)
+/// This is the single serial code path: the runtime executor's serial
+/// plans funnel here (callers route through `biq_runtime::Executor`, or
+/// `biq_serve` for concurrent traffic).
 ///
 /// # Panics
 /// Panics if `x.rows() != w.input_size()`, `y.len() != m·b`, or the config
@@ -62,7 +61,7 @@ pub fn biqgemm_serial_into(
     let (m, b) = (w.output_size(), x.cols());
     assert_eq!(y.len(), m * b, "output buffer must hold m·b floats");
     y.fill(0.0);
-    let bank = arena.bank(w.mu(), cfg.layout);
+    let bank = arena.bank(w.mu());
     run_tiles(w, x, cfg, kernel, profile, bank, &[(0, w.key_rows())], y, 0);
 }
 
@@ -99,7 +98,7 @@ pub(crate) fn run_tiles(
             continue;
         }
         for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
-            bank.build(&input, c0, nc, b0, nb, cfg.build, profile, kernel);
+            bank.build(&input, c0, nc, b0, nb, profile, kernel);
             profile.time_query(|| {
                 for &(kr_start, kr_end) in key_row_ranges {
                     for r in kr_start..kr_end {
@@ -108,27 +107,10 @@ pub(crate) fn run_tiles(
                         debug_assert!(out_row >= y_row0);
                         let yoff = (out_row - y_row0) * b + b0;
                         let krow = &keys.key_row(r)[c0..c0 + nc];
-                        match cfg.layout {
-                            LutLayout::KeyMajor => {
-                                // Fused lookup-accumulate at the pinned
-                                // level: register accumulation across the
-                                // tile's chunks, scale applied in-pass.
-                                bank.query_fused(krow, scale, &mut y[yoff..yoff + nb], kernel);
-                            }
-                            LutLayout::BatchMajor => {
-                                // Per-element gather; the canonical tree
-                                // keeps it bit-identical to the KeyMajor
-                                // fused kernel (`both_layouts_agree`).
-                                let yrow = &mut y[yoff..yoff + nb];
-                                for (a, yv) in yrow.iter_mut().enumerate() {
-                                    let mut s = TreeAccumulator::new();
-                                    for (ci, &key) in krow.iter().enumerate() {
-                                        s.push(bank.entry(ci, a, key));
-                                    }
-                                    *yv += scale * s.finish();
-                                }
-                            }
-                        }
+                        // Fused lookup-accumulate at the pinned level:
+                        // register accumulation across the tile's chunks,
+                        // scale applied in-pass.
+                        bank.query_fused(krow, scale, &mut y[yoff..yoff + nb], kernel);
                     }
                 }
             });
@@ -138,9 +120,9 @@ pub(crate) fn run_tiles(
 
 /// One width-1 batch tile (column `b0`): the GEMV of the paper's
 /// small-batch regime, whether `b = 1` or the one-column tail of a wider
-/// batch. With one live column both layouts coincide (entry `(c, key)` at
-/// `c·2^µ + key`), so the tables of **every** chunk are built once into
-/// the bank and the loop runs row-block-outer:
+/// batch. With one live column the bank is one contiguous table per chunk
+/// (entry `(c, key)` at `c·2^µ + key`), so the tables of **every** chunk
+/// are built once into the bank and the loop runs row-block-outer:
 ///
 /// ```text
 /// for each block of tile_rows output rows:
@@ -170,7 +152,7 @@ fn run_width1(
     y_row0: usize,
 ) {
     let (m, b, chunks) = (w.output_size(), input.batch(), w.chunks());
-    bank.build(input, 0, chunks, b0, 1, cfg.build, profile, kernel);
+    bank.build(input, 0, chunks, b0, 1, profile, kernel);
     let keys = w.keys().as_slice();
     let stride = w.keys().chunks();
     // Output rows the ranges touch; a block outside every plane run is
@@ -226,7 +208,6 @@ fn plane_runs(ranges: &[(usize, usize)], m: usize) -> impl Iterator<Item = (usiz
 #[allow(clippy::needless_range_loop)] // index-style loops read clearer in reference checks
 mod tests {
     use super::*;
-    use crate::config::LutBuildMethod;
     use biq_matrix::{assert_allclose, Matrix, MatrixRng};
     use biq_quant::greedy_quantize_matrix_rowwise;
 
@@ -282,26 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn both_layouts_agree() {
-        let mut g = MatrixRng::seed_from(231);
-        let signs = g.signs(20, 32);
-        let x = g.small_int_col(32, 6, 2);
-        let w = BiqWeights::from_signs_unscaled(&signs, 8);
-        let mk = |layout| BiqConfig {
-            mu: 8,
-            tile_rows: 8,
-            tile_chunks: 2,
-            tile_batch: 3,
-            layout,
-            ..BiqConfig::default()
-        };
-        let mut p = PhaseProfile::new();
-        let ykm = biqgemm_tiled(&w, &x, &mk(LutLayout::KeyMajor), &mut p);
-        let ybm = biqgemm_tiled(&w, &x, &mk(LutLayout::BatchMajor), &mut p);
-        assert_eq!(ykm.as_slice(), ybm.as_slice());
-    }
-
-    #[test]
     fn multibit_matches_dequantized_gemm() {
         let mut g = MatrixRng::seed_from(232);
         for bits in 1..=3 {
@@ -348,31 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_build_method_matches_dp() {
-        let mut g = MatrixRng::seed_from(234);
-        let signs = g.signs(12, 24);
-        let x = g.small_int_col(24, 3, 3);
-        let w = BiqWeights::from_signs_unscaled(&signs, 4);
-        let base = BiqConfig {
-            mu: 4,
-            tile_rows: 5,
-            tile_chunks: 2,
-            tile_batch: 2,
-            ..BiqConfig::default()
-        };
-        let mut p = PhaseProfile::new();
-        let y_dp = biqgemm_tiled(
-            &w,
-            &x,
-            &BiqConfig { build: LutBuildMethod::DynamicProgramming, ..base },
-            &mut p,
-        );
-        let y_mm =
-            biqgemm_tiled(&w, &x, &BiqConfig { build: LutBuildMethod::Gemm, ..base }, &mut p);
-        assert_eq!(y_dp.as_slice(), y_mm.as_slice());
-    }
-
-    #[test]
     fn scaled_one_bit_applies_row_scales() {
         let mut g = MatrixRng::seed_from(235);
         let signs = g.signs(6, 16);
@@ -412,7 +348,7 @@ mod tests {
         let _ = biqgemm_tiled(&w, &x, &BiqConfig::default(), &mut prof);
         assert!(prof.build > std::time::Duration::ZERO);
         assert!(prof.query > std::time::Duration::ZERO);
-        // Default layout is KeyMajor, so replace (scatter) must show up.
+        // Batched builds gather their DP steps, so replace must show up.
         assert!(prof.replace > std::time::Duration::ZERO);
     }
 

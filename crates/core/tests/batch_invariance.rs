@@ -12,7 +12,7 @@
 //! fixed 8-partial tree specified in `core::simd` (`partials[ci % 8]`,
 //! pairwise fold) — whether it runs as `lut_gather`'s vector lanes
 //! (width-1 tiles), `lut_query_fused`'s register columns (wider tiles),
-//! `TreeAccumulator` (BatchMajor loops), or either parallel schedule.
+//! or either parallel schedule.
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;

@@ -2,14 +2,31 @@
 //! Eq. 3 identities, serialization, planner feasibility, and cost-model
 //! sanity.
 
-use biq_matrix::MatrixRng;
+use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
 use biqgemm_core::actquant::{biqgemm_quantized_activations, QuantizedActivations};
 use biqgemm_core::complexity::{biqgemm_ops, eq9_factor, gemm_ops, optimal_mu};
+use biqgemm_core::parallel::biqgemm_parallel_arena_into;
 use biqgemm_core::planner::plan;
 use biqgemm_core::serialize::{decode_weights, encode_weights};
-use biqgemm_core::{BiqConfig, BiqGemm, BiqWeights, PhaseProfile};
+use biqgemm_core::tiled::biqgemm_serial_into;
+use biqgemm_core::{BiqArena, BiqConfig, BiqWeights, ParallelArena, PhaseProfile, Schedule};
 use proptest::prelude::*;
+
+fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Vec<f32> {
+    let mut y = vec![0.0f32; w.output_size() * x.cols()];
+    let (mut arena, mut p) = (BiqArena::new(), PhaseProfile::new());
+    let k = cfg.kernel.resolve().unwrap();
+    biqgemm_serial_into(w, x, cfg, k, &mut p, &mut arena, &mut y);
+    y
+}
+
+fn parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Vec<f32> {
+    let mut y = vec![0.0f32; w.output_size() * x.cols()];
+    let pool = ParallelArena::with_current_threads();
+    biqgemm_parallel_arena_into(w, x, cfg, cfg.kernel.resolve().unwrap(), &pool, &mut y);
+    y
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -29,9 +46,7 @@ proptest! {
         let rt = decode_weights(encode_weights(&w)).unwrap();
         let x = g.small_int_col(n, 3, 3);
         let cfg = BiqConfig { mu, ..BiqConfig::default() };
-        let y1 = BiqGemm::from_weights(w, cfg).matmul(&x);
-        let y2 = BiqGemm::from_weights(rt, cfg).matmul(&x);
-        prop_assert_eq!(y1.as_slice(), y2.as_slice());
+        prop_assert_eq!(serial(&w, &x, &cfg), serial(&rt, &x, &cfg));
     }
 
     /// Eq. 3 with pre-quantized activations equals plain BiQGEMM on the
@@ -49,19 +64,7 @@ proptest! {
         let xq = QuantizedActivations::quantize(&x, bits_a);
         let cfg = BiqConfig::with_mu(4);
         let y_eq3 = biqgemm_quantized_activations(&w, &xq, &cfg);
-        let mut p = PhaseProfile::new();
-        let xdq = xq.dequantize();
-        let mut y_deq = vec![0.0f32; w.output_size() * xdq.cols()];
-        let mut arena = biqgemm_core::BiqArena::new();
-        biqgemm_core::tiled::biqgemm_serial_into(
-            &w,
-            &xdq,
-            &cfg,
-            cfg.kernel.resolve().unwrap(),
-            &mut p,
-            &mut arena,
-            &mut y_deq,
-        );
+        let y_deq = serial(&w, &xq.dequantize(), &cfg);
         for (a, bv) in y_eq3.as_slice().iter().zip(&y_deq) {
             prop_assert!((a - bv).abs() <= 1e-3 * (1.0 + bv.abs()), "{} vs {}", a, bv);
         }
@@ -105,8 +108,8 @@ proptest! {
         prop_assert!(eq9_factor(m, mu) < 1.0);
     }
 
-    /// Engine output is invariant to the tile/batch/chunk tiling and the
-    /// schedule, bit-exactly, on integer data.
+    /// Serial and both parallel schedules equal the naive GEMM bit for bit
+    /// on integer data, whatever the tile/batch/chunk tiling.
     #[test]
     fn tiling_invariance(
         (m, n, b) in (1usize..=24, 1usize..=48, 1usize..=6),
@@ -116,7 +119,8 @@ proptest! {
         let mut g = MatrixRng::seed_from(seed);
         let signs = g.signs(m, n);
         let x = g.small_int_col(n, b, 3);
-        let reference = BiqGemm::from_signs(&signs, BiqConfig::with_mu(4)).matmul(&x);
+        let reference = biq_gemm::gemm_naive(&signs.to_f32(), &x);
+        let w = BiqWeights::from_signs_unscaled(&signs, 4);
         let cfg = BiqConfig {
             mu: 4,
             tile_rows: tr,
@@ -124,10 +128,10 @@ proptest! {
             tile_batch: tb,
             ..BiqConfig::default()
         };
-        let engine = BiqGemm::from_signs(&signs, cfg);
-        let serial = engine.matmul(&x);
-        let parallel = engine.matmul_parallel(&x);
-        prop_assert_eq!(serial.as_slice(), reference.as_slice());
-        prop_assert_eq!(parallel.as_slice(), reference.as_slice());
+        prop_assert_eq!(serial(&w, &x, &cfg), reference.as_slice());
+        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+            let cfg = BiqConfig { schedule, ..cfg };
+            prop_assert_eq!(parallel(&w, &x, &cfg), reference.as_slice(), "{:?}", schedule);
+        }
     }
 }

@@ -1,18 +1,18 @@
 //! Per-level bit-exactness of the BiQGEMM kernels: every kernel level the
 //! host can run must produce **exactly** the scalar level's output — for
-//! the serial path, both parallel schedules, both layouts, multi-bit
-//! weights, and ragged shapes (`n % µ ≠ 0`, batch widths that are not a
+//! the serial path, both parallel schedules, multi-bit weights, and
+//! ragged shapes (`n % µ ≠ 0`, batch widths that are not a
 //! multiple of any vector width). This is the contract that makes the
 //! plan-pinned level a pure performance knob and lets BIQM artifacts
 //! re-resolve levels across machines without changing results.
 
 use biq_matrix::{ColMatrix, MatrixRng};
 use biq_quant::greedy_quantize_matrix_rowwise;
-use biqgemm_core::parallel::biqgemm_parallel_into;
+use biqgemm_core::parallel::biqgemm_parallel_arena_into;
 use biqgemm_core::simd::supported_levels;
 use biqgemm_core::tiled::biqgemm_serial_into;
 use biqgemm_core::{
-    BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, LutLayout, PhaseProfile,
+    BiqArena, BiqConfig, BiqWeights, KernelLevel, KernelRequest, ParallelArena, PhaseProfile,
     ResolvedKernel, Schedule,
 };
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> 
 
 fn parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> Vec<f32> {
     let mut y = vec![0.0f32; w.output_size() * x.cols()];
-    biqgemm_parallel_into(w, x, cfg, k, &mut y);
+    biqgemm_parallel_arena_into(w, x, cfg, k, &ParallelArena::with_current_threads(), &mut y);
     y
 }
 
@@ -61,23 +61,12 @@ fn serial_levels_bit_exact_vs_scalar_across_shapes() {
         let q = greedy_quantize_matrix_rowwise(&wf, bits);
         let w = BiqWeights::from_multibit(&q, mu);
         let x = g.gaussian_col(n, b, 0.0, 1.0);
-        for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-            let cfg = BiqConfig {
-                mu,
-                tile_rows: 8,
-                tile_chunks: 3,
-                tile_batch: 5,
-                layout,
-                ..BiqConfig::default()
-            };
-            let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
-            for &level in &levels {
-                let got = serial(&w, &x, &cfg, exact(level));
-                assert_eq!(
-                    want, got,
-                    "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) layout={layout:?} level={level}"
-                );
-            }
+        let cfg =
+            BiqConfig { mu, tile_rows: 8, tile_chunks: 3, tile_batch: 5, ..BiqConfig::default() };
+        let want = serial(&w, &x, &cfg, ResolvedKernel::scalar());
+        for &level in &levels {
+            let got = serial(&w, &x, &cfg, exact(level));
+            assert_eq!(want, got, "(m,n,b,µ,bits)=({m},{n},{b},{mu},{bits}) level={level}");
         }
     }
 }
@@ -229,22 +218,33 @@ proptest! {
     }
 }
 
+/// Every level of every path — serial and both parallel schedules —
+/// equals the naive GEMM bit for bit on integer inputs (1-bit unscaled
+/// weights, small-integer activations: every partial sum is exact).
 #[test]
-fn facade_pins_level_from_config() {
-    use biqgemm_core::BiqGemm;
+fn every_level_matches_naive_gemm_on_integer_inputs() {
     let mut g = MatrixRng::seed_from(7003);
-    let signs = g.signs(20, 33);
-    let x = g.gaussian_col(33, 6, 0.0, 1.0);
-    let mut outputs = Vec::new();
-    for level in supported_levels() {
-        let engine = BiqGemm::from_signs(
-            &signs,
-            BiqConfig { kernel: KernelRequest::Exact(level), ..BiqConfig::default() },
-        );
-        assert_eq!(engine.kernel().level(), level);
-        outputs.push(engine.matmul(&x));
-    }
-    for o in &outputs[1..] {
-        assert_eq!(o.as_slice(), outputs[0].as_slice(), "levels agree through the facade");
+    for &(m, n, b, mu, _) in CASES {
+        let signs = g.signs(m, n);
+        let x = g.small_int_col(n, b, 3);
+        let w = BiqWeights::from_signs_unscaled(&signs, mu);
+        let want = biq_gemm::gemm_naive(&signs.to_f32(), &x);
+        let want = want.as_slice();
+        for level in supported_levels() {
+            let k = exact(level);
+            let shape = format!("(m,n,b,µ)=({m},{n},{b},{mu}) level={level}");
+            let cfg = BiqConfig {
+                mu,
+                tile_rows: 4,
+                tile_chunks: 2,
+                tile_batch: 6,
+                ..BiqConfig::default()
+            };
+            assert_eq!(serial(&w, &x, &cfg, k), want, "serial {shape}");
+            for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+                let cfg = BiqConfig { schedule, ..cfg };
+                assert_eq!(parallel(&w, &x, &cfg, k), want, "{schedule:?} {shape}");
+            }
+        }
     }
 }

@@ -62,8 +62,8 @@ pub struct ExecutionPlan {
     pub batch_hint: usize,
     /// Kernel family.
     pub spec: BackendSpec,
-    /// BiQGEMM configuration: µ, tile shapes, LUT layout and build method,
-    /// parallel schedule. Ignored by the dense backends.
+    /// BiQGEMM configuration: µ, tile shapes, parallel schedule, kernel
+    /// request. Ignored by the dense backends.
     pub cfg: BiqConfig,
     /// The threading request the plan was built with.
     pub threading: Threading,

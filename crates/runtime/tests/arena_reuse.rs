@@ -246,23 +246,3 @@ fn parallel_steady_state_allocates_nothing_per_worker() {
         }
     });
 }
-
-#[test]
-fn legacy_one_shot_facade_allocates_every_call() {
-    let _serial = serial();
-    // Contrast case documenting what the refactor removed: the
-    // self-contained `BiqGemm` facade builds a fresh arena (bank +
-    // accumulator) per call. (The deprecated free-function shims that used
-    // to demonstrate this are deleted; the facade remains the one-shot
-    // path.)
-    use biqgemm_core::{BiqConfig, BiqGemm};
-    let mut g = MatrixRng::seed_from(0xab);
-    let signs = g.signs(64, 128);
-    let x = g.small_int_col(128, 4, 3);
-    let engine = BiqGemm::from_signs(&signs, BiqConfig::default());
-    let _ = engine.matmul(&x); // warm anything warmable
-    let before = allocs();
-    let _ = engine.matmul(&x);
-    let per_call = allocs() - before;
-    assert!(per_call > 0, "one-shot path unexpectedly allocation-free");
-}

@@ -9,8 +9,11 @@ use biqgemm_repro::biq_matrix::io as mio;
 use biqgemm_repro::biq_matrix::MatrixRng;
 use biqgemm_repro::biq_quant::error_metrics::relative_l2;
 use biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise;
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
 use biqgemm_repro::biqgemm_core::serialize::{decode_weights, encode_weights};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm, BiqWeights};
+use biqgemm_repro::biqgemm_core::{BiqConfig, BiqWeights};
 
 fn main() {
     let dir = std::env::temp_dir().join("biqgemm_deploy_example");
@@ -36,6 +39,15 @@ fn main() {
     let x = rng.gaussian_col(n, b, 0.0, 1.0);
     std::fs::write(&input_path, mio::encode_col_matrix(&x)).expect("write input");
 
+    // Both hosts plan the layer identically: 2-bit BiQGEMM, default config,
+    // serial.
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 2, method: QuantMethod::Greedy })
+        .config(BiqConfig::default())
+        .threading(Threading::Serial)
+        .build();
+
     // ---- Device: reload and serve. ----
     let loaded = decode_weights(
         biqgemm_repro::biq_matrix::io::read_from(
@@ -44,21 +56,21 @@ fn main() {
         .expect("read artifact"),
     )
     .expect("decode artifact");
-    let engine = BiqGemm::from_weights(loaded, BiqConfig::default());
+    let op = compile(&plan, WeightSource::Packed(loaded));
     let x_dev = mio::decode_col_matrix(
         mio::read_from(std::fs::File::open(&input_path).expect("open input")).expect("read"),
     )
     .expect("decode input");
 
     let t0 = std::time::Instant::now();
-    let y = engine.matmul(&x_dev);
+    let y = Executor::new().run(&op, &x_dev);
     println!(
         "device: served {m}x{b} output in {:.3} ms via table lookups",
         t0.elapsed().as_secs_f64() * 1e3
     );
 
     // Sanity: the served output equals the build host's own computation.
-    let y_host = BiqGemm::new(&quant, BiqConfig::default()).matmul(&x);
+    let y_host = Executor::new().run(&compile(&plan, WeightSource::Quantized(&quant)), &x);
     println!(
         "round-trip check: relative L2 host-vs-device = {:.2e} (must be 0)",
         relative_l2(y.as_slice(), y_host.as_slice())

@@ -7,7 +7,10 @@ use biqgemm_repro::biq_gemm::gemm_blocked;
 use biqgemm_repro::biq_matrix::{display::format_matrix, MatrixRng};
 use biqgemm_repro::biq_quant::error_metrics::{relative_l2, sqnr_db};
 use biqgemm_repro::biq_quant::greedy_quantize_matrix_rowwise;
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
+use biqgemm_repro::biqgemm_core::BiqConfig;
 use std::time::Instant;
 
 fn main() {
@@ -24,11 +27,18 @@ fn main() {
         quant.bits(),
         sqnr_db(weights.as_slice(), quant.dequantize().as_slice())
     );
-    let engine = BiqGemm::new(&quant, BiqConfig::default());
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 3, method: QuantMethod::Greedy })
+        .config(BiqConfig::default())
+        .threading(Threading::Serial)
+        .build();
+    let op = compile(&plan, WeightSource::Quantized(&quant));
+    let mut exec = Executor::new();
 
     // Online: BiQGEMM inference vs fp32 GEMM.
     let t0 = Instant::now();
-    let y_biq = engine.matmul(&x);
+    let y_biq = exec.run(&op, &x);
     let t_biq = t0.elapsed();
 
     let t0 = Instant::now();

@@ -5,11 +5,41 @@
 use biqgemm_repro::biq_gemm::unpack_gemm::gemm_with_unpack;
 use biqgemm_repro::biq_gemm::xnor::{xnor_gemm_presigned, XnorWeights};
 use biqgemm_repro::biq_gemm::{gemm_blocked, gemm_naive, par_gemm_blocked};
-use biqgemm_repro::biq_matrix::{assert_allclose, MatrixRng};
+use biqgemm_repro::biq_matrix::{assert_allclose, ColMatrix, Matrix, MatrixRng};
 use biqgemm_repro::biq_quant::packing::{PackedRowsU32, PackedRowsU64};
 use biqgemm_repro::biq_quant::{greedy_quantize_matrix_rowwise, MultiBitMatrix};
-use biqgemm_repro::biqgemm_core::config::{LutLayout, Schedule};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
+use biqgemm_repro::biqgemm_core::{BiqConfig, Schedule};
+
+/// Runs `x` through a BiQGEMM op planned with exactly `cfg` and
+/// `threading` over `bits`-plane weights of shape `m × n`.
+fn biq(
+    weights: WeightSource<'_>,
+    (m, n): (usize, usize),
+    bits: usize,
+    cfg: BiqConfig,
+    threading: Threading,
+    x: &ColMatrix,
+) -> Matrix {
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(x.cols())
+        .backend(BackendSpec::Biq { bits, method: QuantMethod::Greedy })
+        .config(cfg)
+        .threading(threading)
+        .build();
+    Executor::new().run(&compile(&plan, weights), x)
+}
+
+/// The serial plan plus one parallel plan per schedule.
+fn plan_variants(cfg: BiqConfig) -> [(Threading, BiqConfig); 3] {
+    [
+        (Threading::Serial, cfg),
+        (Threading::Parallel, BiqConfig { schedule: Schedule::RowParallel, ..cfg }),
+        (Threading::Parallel, BiqConfig { schedule: Schedule::SharedLut, ..cfg }),
+    ]
+}
 
 /// Every kernel in the workspace computes the same quantized product.
 #[test]
@@ -24,16 +54,15 @@ fn all_kernels_agree_on_one_bit_weights() {
     let y_blocked = gemm_blocked(&dense, &x);
     let y_par = par_gemm_blocked(&dense, &x);
     let y_unpack = gemm_with_unpack(&PackedRowsU32::pack(&signs), &x);
-    let engine = BiqGemm::from_signs(&signs, BiqConfig::default());
-    let y_biq = engine.matmul(&x);
-    let y_biq_par = engine.matmul_parallel(&x);
 
     // Small-integer inputs make every accumulation order exact.
     assert_eq!(y_naive.as_slice(), y_blocked.as_slice());
     assert_eq!(y_naive.as_slice(), y_par.as_slice());
     assert_eq!(y_naive.as_slice(), y_unpack.as_slice());
-    assert_eq!(y_naive.as_slice(), y_biq.as_slice());
-    assert_eq!(y_naive.as_slice(), y_biq_par.as_slice());
+    for (threading, cfg) in plan_variants(BiqConfig::default()) {
+        let y_biq = biq(WeightSource::Signs(&signs), (m, n), 1, cfg, threading, &x);
+        assert_eq!(y_naive.as_slice(), y_biq.as_slice(), "{threading:?} {:?}", cfg.schedule);
+    }
 }
 
 /// XNOR with pre-signed activations joins the agreement set.
@@ -47,13 +76,14 @@ fn xnor_agrees_when_activations_are_signs() {
     let xw = XnorWeights::new(vec![(vec![1.0; m], PackedRowsU64::pack(&wsigns))]);
     let y_xnor = xnor_gemm_presigned(&xw, &xsigns);
     assert_eq!(y_ref.as_slice(), y_xnor.as_slice());
-    let engine = BiqGemm::from_signs(&wsigns, BiqConfig::default());
-    let y_biq = engine.matmul(&xsigns.to_f32().to_col_major());
+    let x = xsigns.to_f32().to_col_major();
+    let y_biq =
+        biq(WeightSource::Signs(&wsigns), (m, n), 1, BiqConfig::default(), Threading::Serial, &x);
     assert_eq!(y_ref.as_slice(), y_biq.as_slice());
 }
 
 /// Multi-bit BiQGEMM equals dense GEMM on the dequantized weights for every
-/// bit width, layout, schedule and µ.
+/// bit width, schedule and µ.
 #[test]
 fn multibit_full_config_matrix() {
     let mut g = MatrixRng::seed_from(0xe30);
@@ -64,21 +94,16 @@ fn multibit_full_config_matrix() {
         let q = greedy_quantize_matrix_rowwise(&wf, bits);
         let y_ref = gemm_naive(&q.dequantize(), &x);
         for mu in [3usize, 8] {
-            for layout in [LutLayout::KeyMajor, LutLayout::BatchMajor] {
-                for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
-                    let cfg = BiqConfig {
-                        mu,
-                        layout,
-                        schedule,
-                        tile_rows: 16,
-                        tile_chunks: 4,
-                        tile_batch: 3,
-                        ..BiqConfig::default()
-                    };
-                    let engine = BiqGemm::new(&q, cfg);
-                    assert_allclose(&engine.matmul(&x), &y_ref, 1e-4, 1e-4);
-                    assert_allclose(&engine.matmul_parallel(&x), &y_ref, 1e-4, 1e-4);
-                }
+            let cfg = BiqConfig {
+                mu,
+                tile_rows: 16,
+                tile_chunks: 4,
+                tile_batch: 3,
+                ..BiqConfig::default()
+            };
+            for (threading, cfg) in plan_variants(cfg) {
+                let y = biq(WeightSource::Quantized(&q), (m, n), bits, cfg, threading, &x);
+                assert_allclose(&y, &y_ref, 1e-4, 1e-4);
             }
         }
     }
@@ -104,8 +129,9 @@ fn equation_two_by_hand() {
             }
         }
     }
-    let engine = BiqGemm::new(&q, BiqConfig::default());
-    assert_allclose(&engine.matmul(&x), &y_hand, 1e-4, 1e-4);
+    let cfg = BiqConfig::default();
+    let y = biq(WeightSource::Quantized(&q), (m, n), 3, cfg, Threading::Serial, &x);
+    assert_allclose(&y, &y_hand, 1e-4, 1e-4);
 }
 
 /// Truncating planes of one quantization = re-quantizing at fewer bits
@@ -118,7 +144,10 @@ fn plane_truncation_consistency() {
     let q3 = greedy_quantize_matrix_rowwise(&wf, 3);
     let q1: MultiBitMatrix = q3.truncated(1);
     let direct = greedy_quantize_matrix_rowwise(&wf, 1);
-    let y_t = BiqGemm::new(&q1, BiqConfig::default()).matmul(&x);
-    let y_d = BiqGemm::new(&direct, BiqConfig::default()).matmul(&x);
+    let run = |q: &MultiBitMatrix| {
+        let (cfg, serial) = (BiqConfig::default(), Threading::Serial);
+        biq(WeightSource::Quantized(q), (24, 48), 1, cfg, serial, &x)
+    };
+    let (y_t, y_d) = (run(&q1), run(&direct));
     assert_eq!(y_t.as_slice(), y_d.as_slice());
 }

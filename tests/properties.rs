@@ -6,9 +6,24 @@ use biqgemm_repro::biq_gemm::gemm_naive;
 use biqgemm_repro::biq_matrix::{ColMatrix, SignMatrix};
 use biqgemm_repro::biq_quant::greedy_quantize_vector;
 use biqgemm_repro::biq_quant::packing::KeyMatrix;
+use biqgemm_repro::biq_runtime::{
+    compile, BackendSpec, CompiledOp, Executor, PlanBuilder, QuantMethod, Threading, WeightSource,
+};
 use biqgemm_repro::biqgemm_core::lut::{build_lut_bruteforce, build_lut_dp};
-use biqgemm_repro::biqgemm_core::{BiqConfig, BiqGemm};
+use biqgemm_repro::biqgemm_core::BiqConfig;
 use proptest::prelude::*;
+
+/// A serial 1-bit BiQGEMM op over `signs`, planned with exactly `cfg`.
+fn biq_op(signs: &SignMatrix, cfg: BiqConfig, b: usize) -> CompiledOp {
+    let (m, n) = signs.shape();
+    let plan = PlanBuilder::new(m, n)
+        .batch_hint(b)
+        .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+        .config(cfg)
+        .threading(Threading::Serial)
+        .build();
+    compile(&plan, WeightSource::Signs(signs))
+}
 
 /// Strategy: a sign matrix of bounded shape.
 fn sign_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = SignMatrix> {
@@ -34,8 +49,7 @@ proptest! {
         let b = 1 + (seed as usize % 5);
         let x = g.small_int_col(n, b, 4);
         let cfg = BiqConfig { mu: mu.min(16), tile_rows: 5, tile_chunks: 3, tile_batch: 2, ..BiqConfig::default() };
-        let engine = BiqGemm::from_signs(&signs, cfg);
-        let y = engine.matmul(&x);
+        let y = Executor::new().run(&biq_op(&signs, cfg, b), &x);
         let y_ref = gemm_naive(&signs.to_f32(), &x);
         prop_assert_eq!(y.as_slice(), y_ref.as_slice());
     }
@@ -117,10 +131,9 @@ proptest! {
             2,
             x1.as_slice().iter().zip(x2.as_slice()).map(|(a, b)| a + b).collect(),
         );
-        let engine = BiqGemm::from_signs(&signs, BiqConfig::with_mu(4));
-        let y1 = engine.matmul(&x1);
-        let y2 = engine.matmul(&x2);
-        let ysum = engine.matmul(&sum);
+        let op = biq_op(&signs, BiqConfig::with_mu(4), 2);
+        let mut exec = Executor::new();
+        let (y1, y2, ysum) = (exec.run(&op, &x1), exec.run(&op, &x2), exec.run(&op, &sum));
         for ((a, b), s) in y1.as_slice().iter().zip(y2.as_slice()).zip(ysum.as_slice()) {
             prop_assert_eq!(a + b, *s);
         }
