@@ -1,6 +1,6 @@
 //! Criterion microbench: the query/accumulate kernel per kernel level, the
 //! warmed executor's steady state in the small-batch regime, and the
-//! width-1 gather body on its own.
+//! width-1 rows kernel on its own.
 
 use biq_bench::workloads::{binary_workload, biq_op};
 use biq_runtime::{Executor, Threading, WeightSource};
@@ -44,42 +44,53 @@ fn bench_arena_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The b = 1 serving path in isolation: `lut_gather` — the vectorized
-/// width-1 query realising the canonical 8-partial accumulation tree —
-/// per kernel level, over a full output column's worth of key rows
-/// (m rows × n/µ chunks, the inner loop `layout.rs` runs for width-1
-/// tiles). The end-to-end b = 1 numbers live in `arena_reuse` and
-/// `BENCH_simd.json`; this group isolates the gather body itself.
-fn bench_width1_gather(c: &mut Criterion) {
-    use biqgemm_core::simd::{lut_gather, supported_levels};
-    let mut group = c.benchmark_group("width1_gather");
+/// The b = 1 serving path in isolation: `LutBank::gather_rows` — the
+/// width-1 rows kernel realising the canonical 8-partial accumulation
+/// tree, fed straight from a packed `KeyMatrix` (no key scan) — per kernel
+/// level, over every key row of one output column: 512×512 1-bit, and the
+/// 8192×2048 2-bit shape of the `lstm-stream` benchmark workload (8 MiB of
+/// keys). The end-to-end b = 1 numbers live in `arena_reuse` and
+/// `BENCH_simd.json`; this group isolates the query body itself.
+fn bench_width1_gather_rows(c: &mut Criterion) {
+    use biq_matrix::reshape::ChunkedInput;
+    use biq_matrix::{ColMatrix, MatrixRng};
+    use biq_quant::packing::KeyMatrix;
+    use biqgemm_core::layout::LutBank;
+    use biqgemm_core::simd::supported_levels;
+    use biqgemm_core::PhaseProfile;
+    let mut group = c.benchmark_group("width1_gather_rows");
     group.sample_size(20);
-    let (m, n, mu) = (512usize, 512usize, 8usize);
-    let chunks = n / mu;
-    let table = 1usize << mu;
-    // One width-1 bank (chunk c's table at bank[c*table..][..table]) and a
-    // deterministic key row per output row — no Criterion-visible setup in
-    // the timed body.
-    let bank: Vec<f32> = (0..chunks * table)
-        .map(|i| ((i as u32).wrapping_mul(2654435761) >> 8) as f32 / 1e7 - 0.8)
-        .collect();
-    let keys: Vec<u16> = (0..m * chunks)
-        .map(|i| ((i as u32).wrapping_mul(40503) as usize >> 4) as u16 % table as u16)
-        .collect();
-    for level in supported_levels() {
-        let k = biqgemm_core::KernelRequest::Exact(level).resolve().expect("supported");
-        group.bench_function(level.name(), |bch| {
-            bch.iter(|| {
-                let mut acc = 0.0f32;
-                for row in keys.chunks_exact(chunks) {
-                    acc += lut_gather(black_box(&bank), table, row, k);
-                }
-                black_box(acc)
+    let mu = 8usize;
+    for (m, n, bits) in [(512usize, 512usize, 1usize), (8192, 2048, 2)] {
+        let (rows, chunks, table) = (bits * m, n / mu, 1u32 << mu);
+        // Deterministic keys and activations — no Criterion-visible setup
+        // in the timed body.
+        let keys: Vec<u16> = (0..rows * chunks)
+            .map(|i| ((i as u32).wrapping_mul(40503) >> 4) as u16 % table as u16)
+            .collect();
+        let keys = KeyMatrix::from_raw(rows, n, mu, keys);
+        let x = ColMatrix::from_vec(n, 1, MatrixRng::seed_from(9).gaussian_vec(n));
+        let scales = vec![0.5f32; rows];
+        let mut y = vec![0.0f32; m];
+        for level in supported_levels() {
+            let k = biqgemm_core::KernelRequest::Exact(level).resolve().expect("supported");
+            let mut bank = LutBank::new(mu);
+            bank.build(&ChunkedInput::new(&x, mu), 0, chunks, 0, 1, &mut PhaseProfile::new(), k);
+            let id = BenchmarkId::new(format!("{m}x{n}_{bits}bit"), level.name());
+            group.bench_function(id, |bch| {
+                bch.iter(|| {
+                    for p in 0..bits {
+                        let plane = p * m..(p + 1) * m;
+                        let s = &scales[plane.clone()];
+                        bank.gather_rows(&keys, plane, 0, chunks, s, black_box(&mut y), 1, k);
+                    }
+                    black_box(y[0])
+                });
             });
-        });
+        }
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_kernel_levels, bench_arena_reuse, bench_width1_gather);
+criterion_group!(benches, bench_kernel_levels, bench_arena_reuse, bench_width1_gather_rows);
 criterion_main!(benches);

@@ -14,8 +14,10 @@
 
 use crate::lut::build_lut_dp_level;
 use crate::profile::PhaseProfile;
-use crate::simd::{self, ResolvedKernel};
+use crate::simd::{self, KeyRows, ResolvedKernel};
 use biq_matrix::reshape::ChunkedInput;
+use biq_quant::packing::KeyMatrix;
+use std::ops::Range;
 
 /// A reusable bank of lookup tables for one (chunk-tile × batch-tile).
 #[derive(Debug)]
@@ -24,6 +26,8 @@ pub struct LutBank {
     /// Per-chunk gathered DP step vectors (`µ × nb`) of the batched build.
     steps: Vec<f32>,
     table: usize,
+    /// First input chunk resident (bank chunk 0).
+    chunk_start: usize,
     num_chunks: usize,
     nb: usize,
 }
@@ -32,7 +36,14 @@ impl LutBank {
     /// Creates an empty bank for LUT-unit `mu`.
     pub fn new(mu: usize) -> Self {
         assert!((1..=16).contains(&mu), "µ must be in 1..=16");
-        Self { data: Vec::new(), steps: Vec::new(), table: 1usize << mu, num_chunks: 0, nb: 0 }
+        Self {
+            data: Vec::new(),
+            steps: Vec::new(),
+            table: 1usize << mu,
+            chunk_start: 0,
+            num_chunks: 0,
+            nb: 0,
+        }
     }
 
     /// Pre-grows storage for `num_chunks` chunks × `nb` batch columns so a
@@ -79,6 +90,7 @@ impl LutBank {
     ) {
         debug_assert!(chunk_start + num_chunks <= input.num_chunks());
         debug_assert!(batch_start + nb <= input.batch());
+        self.chunk_start = chunk_start;
         self.num_chunks = num_chunks;
         self.nb = nb;
         let needed = num_chunks * self.table * nb;
@@ -126,61 +138,72 @@ impl LutBank {
         &self.data[off..off + self.nb]
     }
 
-    /// Row-batched single-batch gather over the bank window that starts at
-    /// resident chunk `chunk0`: for each row `i` of the key slab (whose
-    /// first key belongs to chunk `chunk0`),
-    /// `y[i · y_stride] += scales[i] · Σ_c bank[c·2^µ + row_i[c]]`, summed
-    /// in the **canonical accumulation-tree order** at the resolved kernel
-    /// level `k` — the same per-lane order as [`LutBank::query_fused`], so
-    /// a column packed into a width-1 batch tile rounds bit-for-bit like
-    /// one packed into any wider tile (batch-packing invariance;
-    /// `batch_invariance.rs` pins it). Dispatched and validated once per
-    /// row block, with consecutive rows' gathers interleaved on x86. This
-    /// is the b = 1 serving hot loop; see [`crate::simd::lut_gather_rows`].
+    /// Row-batched single-batch gather over input chunks
+    /// `[chunk0, chunk0 + nc)`: for each key row `r` in `rows` of `keys`,
+    /// `y[i · y_stride] += scales[i] · Σ_c bank[c·2^µ + keys[r, c]]`
+    /// (`i = r − rows.start`), summed in the **canonical accumulation-tree
+    /// order** at the resolved kernel level `k` — the same per-lane order
+    /// as [`LutBank::query_fused`], so a column packed into a width-1 batch
+    /// tile rounds bit-for-bit like one packed into any wider tile
+    /// (batch-packing invariance; `batch_invariance.rs` pins it). This is
+    /// the b = 1 serving hot loop; see [`crate::simd::lut_gather_rows`].
+    ///
+    /// The keys come straight from the [`KeyMatrix`], whose construction
+    /// range-checked every key against µ once, so no key is scanned here:
+    /// tying the matrix to the bank takes O(1) checks.
     ///
     /// # Panics
-    /// Debug-panics unless exactly one batch column is resident; panics on
-    /// slab/output geometry mismatches per the kernel dispatcher.
+    /// Panics unless exactly one batch column is resident, the bank was
+    /// built for the matrix's µ, the chunk window is resident, and the row
+    /// and output geometry fit.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn gather_rows(
         &self,
+        keys: &KeyMatrix,
+        rows: Range<usize>,
         chunk0: usize,
-        keys: &[u16],
-        key_stride: usize,
         nc: usize,
         scales: &[f32],
         y: &mut [f32],
         y_stride: usize,
         k: ResolvedKernel,
     ) {
-        debug_assert_eq!(self.nb, 1);
-        debug_assert!(chunk0 + nc <= self.num_chunks);
-        simd::lut_gather_rows(
-            y,
-            y_stride,
-            scales,
-            &self.data[chunk0 * self.table..self.num_chunks * self.table],
-            self.table,
-            keys,
-            key_stride,
-            nc,
-            k,
+        assert_eq!(self.nb, 1, "width-1 gather needs exactly one resident batch column");
+        assert!(
+            chunk0 >= self.chunk_start && chunk0 + nc <= self.chunk_start + self.num_chunks,
+            "chunk window outside the resident bank"
         );
+        let local = chunk0 - self.chunk_start;
+        let bank = &self.data[local * self.table..(local + nc) * self.table];
+        let keys = KeyRows::window(keys, rows, chunk0, nc, self.table);
+        simd::gather_rows(y, y_stride, scales, bank, keys, k);
     }
 
-    /// Fused Algorithm 2 query for one key row:
-    /// `y[a] += scale · Σ_ci entry_vec(ci, keys[ci])[a]`, accumulated in
+    /// Fused Algorithm 2 query over every resident chunk for key rows
+    /// `rows` of `keys`: row `r` adds
+    /// `scales[i] · Σ_ci entry_vec(ci, keys[r, chunk_start + ci])` into
+    /// `y[i · y_stride ..][.. nb]` (`i = r − rows.start`), accumulated in
     /// registers at the resolved kernel level — see
-    /// [`crate::simd::lut_query_fused`].
+    /// [`crate::simd::lut_query_fused`]. Like [`LutBank::gather_rows`] it
+    /// reads the keys unscanned, on the [`KeyMatrix`] invariant.
     ///
     /// # Panics
-    /// Panics (or debug-panics) on a key row longer than the resident
-    /// chunks, or `y` shorter than the resident batch.
+    /// Panics when the bank was built for another µ, the resident chunks
+    /// leave the matrix, or the output is too short for the rows.
     #[inline]
-    pub fn query_fused(&self, keys: &[u16], scale: f32, y: &mut [f32], k: ResolvedKernel) {
-        debug_assert!(keys.len() <= self.num_chunks);
-        simd::lut_query_fused(y, scale, &self.data, self.table, self.nb, keys, k);
+    pub fn query_fused(
+        &self,
+        keys: &KeyMatrix,
+        rows: Range<usize>,
+        scales: &[f32],
+        y: &mut [f32],
+        y_stride: usize,
+        k: ResolvedKernel,
+    ) {
+        let keys = KeyRows::window(keys, rows, self.chunk_start, self.num_chunks, self.table);
+        let bank = &self.data[..self.num_chunks * self.table * self.nb];
+        simd::query_fused_rows(y, y_stride, scales, bank, self.nb, keys, k);
     }
 
     /// Bytes of live table data.
@@ -393,9 +416,9 @@ mod tests {
         let mut prof = PhaseProfile::new();
         let mut reference = LutBank::new(4);
         reference.build(&input, 0, 7, 0, 7, &mut prof, sk());
-        let keys: Vec<u16> = (0..7u16).map(|c| (c * 3) % 16).collect();
+        let keys = KeyMatrix::from_raw(1, 26, 4, (0..7u16).map(|c| (c * 3) % 16).collect());
         let mut y_ref = vec![0.0f32; 7];
-        reference.query_fused(&keys, 1.25, &mut y_ref, sk());
+        reference.query_fused(&keys, 0..1, &[1.25], &mut y_ref, 7, sk());
         for level in crate::simd::supported_levels() {
             let k = KernelRequest::Exact(level).resolve().unwrap();
             let mut bank = LutBank::new(4);
@@ -413,9 +436,19 @@ mod tests {
                 }
             }
             let mut y = vec![0.0f32; 7];
-            bank.query_fused(&keys, 1.25, &mut y, k);
+            bank.query_fused(&keys, 0..1, &[1.25], &mut y, 7, k);
             assert_eq!(y, y_ref, "level={level}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^µ of the key matrix")]
+    fn gather_rows_rejects_key_matrix_of_another_mu() {
+        let x = ColMatrix::zeros(16, 1);
+        let mut bank = LutBank::new(4);
+        bank.build(&ChunkedInput::new(&x, 4), 0, 4, 0, 1, &mut PhaseProfile::new(), sk());
+        let keys = KeyMatrix::from_raw(1, 16, 8, vec![255, 255]);
+        bank.gather_rows(&keys, 0..1, 0, 2, &[1.0], &mut [0.0], 1, sk());
     }
 
     #[test]

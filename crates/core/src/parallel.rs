@@ -33,7 +33,7 @@ use crate::arena::BiqArena;
 use crate::config::{BiqConfig, Schedule};
 use crate::layout::fill_chunk_key_major_dp;
 use crate::profile::PhaseProfile;
-use crate::simd::{self, ResolvedKernel};
+use crate::simd::{self, KeyRows, ResolvedKernel};
 use crate::tiled::run_tiles;
 use crate::weights::BiqWeights;
 use biq_matrix::reshape::ChunkedInput;
@@ -153,6 +153,10 @@ impl Default for ParallelArena {
 /// and drawing all per-task scratch from `pool`. `y` is zeroed before
 /// accumulation.
 ///
+/// Every task times its build/query/replace phases, and `profile` receives
+/// their **sum across tasks** — CPU time per phase, which exceeds the
+/// call's wall time when tasks overlap.
+///
 /// This is the steady-state serving path: with a persistent pool (the
 /// runtime executor's arena embeds one) repeat runs at a warmed shape reuse
 /// every per-worker LUT bank instead of allocating per task.
@@ -164,6 +168,7 @@ pub fn biqgemm_parallel_arena_into(
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
+    profile: &mut PhaseProfile,
     pool: &ParallelArena,
     y: &mut [f32],
 ) {
@@ -171,10 +176,17 @@ pub fn biqgemm_parallel_arena_into(
     assert_eq!(x.rows(), w.input_size(), "inner dimension mismatch");
     assert_eq!(y.len(), w.output_size() * x.cols(), "output buffer must hold m·b floats");
     y.fill(0.0);
+    let tasks = Mutex::new(PhaseProfile::new());
     match cfg.schedule {
-        Schedule::RowParallel => row_parallel(w, x, cfg, kernel, pool, y),
-        Schedule::SharedLut => shared_lut(w, x, cfg, kernel, pool, y),
+        Schedule::RowParallel => row_parallel(w, x, cfg, kernel, &tasks, pool, y),
+        Schedule::SharedLut => shared_lut(w, x, cfg, kernel, &tasks, pool, y),
     }
+    profile.merge(&tasks.into_inner().expect("task profile poisoned"));
+}
+
+/// Adds one task's phase times to the call's running sum.
+fn fold_task(tasks: &Mutex<PhaseProfile>, task: &PhaseProfile) {
+    tasks.lock().expect("task profile poisoned").merge(task);
 }
 
 /// Rows-per-task sizing: enough tasks for load balance, big enough blocks to
@@ -189,6 +201,7 @@ fn row_parallel(
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
+    tasks: &Mutex<PhaseProfile>,
     pool: &ParallelArena,
     y: &mut [f32],
 ) {
@@ -209,6 +222,7 @@ fn row_parallel(
         ranges.extend((0..bits).map(|p| (p * m + row0, p * m + row0 + rows)));
         let bank = arena.bank(w.mu());
         run_tiles(w, x, cfg, kernel, &mut profile, bank, ranges, yblock, row0);
+        fold_task(tasks, &profile);
     });
 }
 
@@ -217,6 +231,7 @@ fn shared_lut(
     x: &ColMatrix,
     cfg: &BiqConfig,
     kernel: ResolvedKernel,
+    tasks: &Mutex<PhaseProfile>,
     pool: &ParallelArena,
     y: &mut [f32],
 ) {
@@ -226,7 +241,6 @@ fn shared_lut(
     }
     let input = ChunkedInput::new(x, w.mu());
     let chunks = w.chunks();
-    let keys = w.keys();
     let table = 1usize << w.mu();
     let rpt = rows_per_task(m);
     // The shared bank buffer persists across tiles and calls; stale entries
@@ -256,37 +270,31 @@ fn shared_lut(
                     &mut profile,
                     kernel,
                 );
+                fold_task(tasks, &profile);
             });
             // Phase 2: query in parallel over disjoint output-row blocks,
-            // fused lookup-accumulate at the pinned kernel level.
+            // one kernel call per weight plane at the pinned level, keys
+            // read unscanned from the key matrix.
             let bank = &bank[..];
             y.par_chunks_mut(rpt * b).enumerate().for_each(|(t, yblock)| {
                 let row0 = t * rpt;
                 let rows = yblock.len() / b;
-                for p in 0..w.bits() {
-                    for r in p * m + row0..p * m + row0 + rows {
-                        let scale = w.scale(r);
-                        let out_row = r % m;
-                        let yoff = (out_row - row0) * b + b0;
-                        let krow = &keys.key_row(r)[c0..c0 + nc];
+                let mut profile = PhaseProfile::new();
+                profile.time_query(|| {
+                    for p in 0..w.bits() {
+                        let r = p * m + row0;
+                        let keys = KeyRows::window(w.keys(), r..r + rows, c0, nc, table);
+                        let (scales, y) = (&w.scales()[r..r + rows], &mut yblock[b0..]);
                         if nb == 1 {
-                            // Width-1 tile: the canonical-order gather is
-                            // the fast (and bit-identical) form of the
-                            // fused query.
-                            yblock[yoff] += scale * simd::lut_gather(bank, table, krow, kernel);
+                            // Width-1 tile: the rows gather is the fast
+                            // (and bit-identical) form of the fused query.
+                            simd::gather_rows(y, b, scales, bank, keys, kernel);
                         } else {
-                            simd::lut_query_fused(
-                                &mut yblock[yoff..yoff + nb],
-                                scale,
-                                bank,
-                                table,
-                                nb,
-                                krow,
-                                kernel,
-                            );
+                            simd::query_fused_rows(y, b, scales, bank, nb, keys, kernel);
                         }
                     }
-                }
+                });
+                fold_task(tasks, &profile);
             });
         }
     }
@@ -316,7 +324,8 @@ mod tests {
     fn biqgemm_parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Matrix {
         let mut y = Matrix::zeros(w.output_size(), x.cols());
         let pool = ParallelArena::with_current_threads();
-        biqgemm_parallel_arena_into(w, x, cfg, kernel_of(cfg), &pool, y.as_mut_slice());
+        let mut p = PhaseProfile::new();
+        biqgemm_parallel_arena_into(w, x, cfg, kernel_of(cfg), &mut p, &pool, y.as_mut_slice());
         y
     }
 
@@ -365,6 +374,35 @@ mod tests {
     }
 
     #[test]
+    fn shared_lut_width_one_matches_serial_bit_exactly() {
+        // b = 1 under SharedLut (the schedule m < 2^µ picks): row blocks
+        // run the rows gather, whose 8-row, pair and single-row bodies
+        // must each round like the scalar serial width-1 path.
+        let mut g = MatrixRng::seed_from(252);
+        for &(m, n, mu, bits) in
+            &[(48usize, 64usize, 8usize, 2usize), (100, 50, 8, 3), (17, 33, 4, 1), (200, 256, 8, 2)]
+        {
+            let wf = g.gaussian(m, n, 0.0, 1.0);
+            let w = BiqWeights::from_multibit(&greedy_quantize_matrix_rowwise(&wf, bits), mu);
+            let x = g.gaussian_col(n, 1, 0.0, 1.0);
+            let cfg = |level| BiqConfig {
+                mu,
+                schedule: Schedule::SharedLut,
+                kernel: crate::KernelRequest::Exact(level),
+                ..BiqConfig::default()
+            };
+            let want = serial(&w, &x, &cfg(crate::KernelLevel::Scalar));
+            for level in simd::supported_levels() {
+                assert_eq!(
+                    biqgemm_parallel(&w, &x, &cfg(level)).as_slice(),
+                    want.as_slice(),
+                    "(m,n,µ,bits)=({m},{n},{mu},{bits}) level={level}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn single_row_matrix_parallel() {
         let mut g = MatrixRng::seed_from(253);
         let signs = g.signs(1, 64);
@@ -407,8 +445,8 @@ mod tests {
                 ..BiqConfig::default()
             };
             pool.reserve(&cfg, w.input_size(), w.bits(), x.cols());
-            let mut y = vec![0.0f32; 48 * 5];
-            biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &pool, &mut y);
+            let (mut y, mut prof) = (vec![0.0f32; 48 * 5], PhaseProfile::new());
+            biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &mut prof, &pool, &mut y);
             assert_eq!(y, serial(&w, &x, &cfg).as_slice(), "{schedule:?}");
         }
         assert!(pool.resident_lut_bytes() > 0, "row-parallel banks stay resident");
@@ -429,8 +467,8 @@ mod tests {
             tile_batch: 2,
             ..BiqConfig::default()
         };
-        let mut y = vec![0.0f32; 128 * 3];
-        biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &pool, &mut y);
+        let (mut y, mut prof) = (vec![0.0f32; 128 * 3], PhaseProfile::new());
+        biqgemm_parallel_arena_into(&w, &x, &cfg, kernel_of(&cfg), &mut prof, &pool, &mut y);
         assert_eq!(y, serial(&w, &x, &cfg).as_slice());
     }
 }

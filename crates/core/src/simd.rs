@@ -39,13 +39,30 @@
 //!   under the Fig. 6 layout: for one key row, gather each chunk's
 //!   contiguous batch vector, accumulate in registers, and apply the
 //!   per-row scale in the same pass (no accumulator buffer round-trip);
-//! * [`lut_gather`] — the width-1 form of the same query: strided loads of
-//!   `bank[c·2^µ + keys[c]]` into vector lanes (a hardware gather on
-//!   AVX2/AVX-512), the latency path of the paper's b = 1 serving regime;
+//! * [`lut_gather`] — the width-1 form of the same query for one key row:
+//!   strided loads of `bank[c·2^µ + keys[c]]` into vector lanes (a
+//!   hardware gather on AVX2/AVX-512);
+//! * [`lut_gather_rows`] — the width-1 query over a block of key rows,
+//!   the b = 1 serving hot loop: eight rows' gather chains per pass on
+//!   x86, folded together in one transposed canonical tree;
 //! * [`dp_step_add_rows`] / [`negate_rows_reversed`] — the µ-wide vector adds and the mirror
 //!   negation of the batched Algorithm 1 LUT build (key-major layout);
 //! * [`broadcast_add`] — the scalar-step DP recurrence of the single-table
 //!   build (the width-1 / GEMV path).
+//!
+//! ## Key bounds: one kernel, two ways in
+//!
+//! The query bodies index tables with keys unchecked, so every key must be
+//! below the table size `2^µ`. The crate-internal `KeyRows` carries that
+//! bound, and it has two constructors. A window of a packed
+//! [`KeyMatrix`] costs O(1): the matrix range-checked every key once, when
+//! it was packed or loaded, and it hands out no way to change them; only
+//! `table == 2^µ` and the window geometry are checked per call. That is
+//! how the tile loops feed the kernels (through
+//! [`crate::layout::LutBank::gather_rows`] and
+//! [`crate::layout::LutBank::query_fused`]), so no GEMV rescans its key
+//! matrix. A raw `&[u16]` slab — the public entry points above — is
+//! scanned key by key and then runs the same kernel body.
 //!
 //! ## Bit-exactness and the canonical accumulation order
 //!
@@ -107,7 +124,9 @@
 //! reachable only through a [`ResolvedKernel`] constructed after a host
 //! support check.
 
+use biq_quant::packing::KeyMatrix;
 use std::fmt;
+use std::ops::Range;
 
 /// Environment variable forcing the kernel level (`scalar` | `avx2` |
 /// `avx512` | `neon`). Consulted by [`KernelRequest::resolve`] for `Auto`
@@ -448,8 +467,84 @@ pub fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32, k: ResolvedKernel)
     )
 }
 
-/// The fused query kernel of Algorithm 2 (key-major layout): for one key
-/// row, accumulate the looked-up batch vectors of every chunk in registers
+/// Key rows a query kernel may index its `table`-entry lookup tables with
+/// unchecked: every key is `< table`. The two constructors are the two ways
+/// to establish that bound in front of one kernel body — a window of a
+/// [`KeyMatrix`] in O(1), because the matrix range-checked every key once
+/// when it was packed or loaded, and a raw slab scanned key by key.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyRows<'a> {
+    /// Row `i` is `keys[i · stride ..][.. width]`.
+    keys: &'a [u16],
+    stride: usize,
+    rows: usize,
+    width: usize,
+    table: usize,
+}
+
+impl<'a> KeyRows<'a> {
+    /// Chunks `[chunk0, chunk0 + width)` of key rows `rows` of `km`, for
+    /// tables of `table` entries. O(1): a full chunk's keys are below 2^µ
+    /// and the ragged last chunk's below 2^len ≤ 2^µ — the matrix's
+    /// construction-time invariant — so `table == 2^µ` bounds every key.
+    ///
+    /// # Panics
+    /// Panics when `table ≠ 2^µ` of `km` or the window leaves the matrix.
+    pub(crate) fn window(
+        km: &'a KeyMatrix,
+        rows: Range<usize>,
+        chunk0: usize,
+        width: usize,
+        table: usize,
+    ) -> Self {
+        assert_eq!(table, 1usize << km.mu(), "table size must be 2^µ of the key matrix");
+        assert!(rows.start <= rows.end && rows.end <= km.rows(), "key rows outside the matrix");
+        assert!(chunk0 + width <= km.chunks(), "chunk window outside the matrix");
+        let stride = km.chunks();
+        let keys = match rows.len() {
+            0 => &[][..],
+            n => &km.as_slice()[rows.start * stride + chunk0..][..(n - 1) * stride + width],
+        };
+        Self { keys, stride, rows: rows.len(), width, table }
+    }
+
+    /// A raw row-major slab of `rows` rows, `width` keys each, `stride`
+    /// apart — every key scanned against `table` (O(keys)).
+    ///
+    /// # Panics
+    /// Panics when the slab is too short for the described geometry or a
+    /// key exceeds the table.
+    pub(crate) fn scan(
+        keys: &'a [u16],
+        stride: usize,
+        rows: usize,
+        width: usize,
+        table: usize,
+    ) -> Self {
+        if rows > 0 {
+            assert!(stride >= width, "key slab stride shorter than the row width");
+            assert!(
+                keys.len() >= (rows - 1) * stride + width,
+                "key slab shorter than the rows need"
+            );
+        }
+        let slab = Self { keys, stride, rows, width, table };
+        let max_key = (0..rows).flat_map(|i| slab.row(i)).fold(0u16, |m, &v| m.max(v));
+        assert!(
+            rows == 0 || width == 0 || (max_key as usize) < table,
+            "key {max_key} out of table"
+        );
+        slab
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &'a [u16] {
+        &self.keys[i * self.stride..][..self.width]
+    }
+}
+
+/// The fused query kernel of Algorithm 2 (key-major layout) on a raw key
+/// row: accumulate the looked-up batch vectors of every chunk in registers
 /// and apply the per-row scale in the same pass —
 /// `y[a] += scale · Σ_ci bank[(ci·table + keys[ci])·nb + a]`.
 ///
@@ -458,11 +553,13 @@ pub fn broadcast_add(dst: &mut [f32], src: &[f32], step: f32, k: ResolvedKernel)
 /// `nb`-float batch vector. Every level accumulates each batch lane in the
 /// canonical tree order (see the module docs) and rounds the final
 /// multiply-add in two steps, so all levels — and [`lut_gather`] at
-/// `nb == 1` — agree bit for bit.
+/// `nb == 1` — agree bit for bit. The raw row is scanned for its largest
+/// key first; the tile loops feed keys from their [`KeyMatrix`] instead,
+/// which skips that scan (same kernel body).
 ///
 /// # Panics
 /// Panics when `y.len() < nb`, the bank is too short for the key row, or a
-/// key exceeds the table (the packed-key invariant re-checked cheaply).
+/// key exceeds the table.
 #[inline]
 pub fn lut_query_fused(
     y: &mut [f32],
@@ -474,24 +571,48 @@ pub fn lut_query_fused(
     k: ResolvedKernel,
 ) {
     assert!(y.len() >= nb, "output row shorter than the batch tile");
-    assert!(bank.len() >= keys.len() * table * nb, "bank shorter than the key row needs");
-    // Packed keys are validated at construction/load; re-check the max
-    // cheaply so the unsafe gathers below stay in bounds even on misuse.
-    let max_key = keys.iter().fold(0u16, |m, &v| m.max(v));
-    assert!(keys.is_empty() || (max_key as usize) < table, "key {max_key} out of table");
-    let y = &mut y[..nb];
-    dispatch!(
-        k,
-        lut_query_fused_scalar(y, scale, bank, table, nb, keys),
-        avx2::lut_query_fused(y, scale, bank, table, nb, keys),
-        avx512::lut_query_fused(y, scale, bank, table, nb, keys),
-        neon::lut_query_fused(y, scale, bank, table, nb, keys)
-    )
+    let rows = KeyRows::scan(keys, keys.len(), 1, keys.len(), table);
+    query_fused_rows(&mut y[..nb], nb, &[scale], bank, nb, rows, k);
+}
+
+/// [`lut_query_fused`] over every row of `keys`: row `i` accumulates into
+/// `y[i · y_stride ..][.. nb]` with scale `scales[i]`, one level dispatch
+/// per row and no key scan — [`KeyRows`] carries the bound.
+///
+/// # Panics
+/// Panics on a scale count other than the row count, or an output or bank
+/// too short for the described geometry.
+pub(crate) fn query_fused_rows(
+    y: &mut [f32],
+    y_stride: usize,
+    scales: &[f32],
+    bank: &[f32],
+    nb: usize,
+    keys: KeyRows<'_>,
+    k: ResolvedKernel,
+) {
+    let (nr, table) = (keys.rows, keys.table);
+    assert_eq!(scales.len(), nr, "one scale per key row");
+    if nr == 0 {
+        return;
+    }
+    assert!(y.len() >= (nr - 1) * y_stride + nb, "output shorter than the rows need");
+    assert!(bank.len() >= keys.width * table * nb, "bank shorter than the key rows need");
+    for (i, &scale) in scales.iter().enumerate() {
+        let (y, keys) = (&mut y[i * y_stride..][..nb], keys.row(i));
+        dispatch!(
+            k,
+            lut_query_fused_scalar(y, scale, bank, table, nb, keys),
+            avx2::lut_query_fused(y, scale, bank, table, nb, keys),
+            avx512::lut_query_fused(y, scale, bank, table, nb, keys),
+            neon::lut_query_fused(y, scale, bank, table, nb, keys)
+        )
+    }
 }
 
 /// The width-1 query kernel: `Σ_ci bank[ci·table + keys[ci]]` in the
-/// canonical accumulation-tree order (see the module docs) — the b = 1
-/// latency path, where the bank holds one contiguous table per chunk.
+/// canonical accumulation-tree order (see the module docs), where the bank
+/// holds one contiguous table per chunk.
 ///
 /// On AVX2/AVX-512 the strided lookups become one hardware gather per 8
 /// chunks (the AVX-512 arm runs the 256-bit body: the canonical tree is 8
@@ -504,9 +625,8 @@ pub fn lut_query_fused(
 /// table.
 #[inline]
 pub fn lut_gather(bank: &[f32], table: usize, keys: &[u16], k: ResolvedKernel) -> f32 {
+    KeyRows::scan(keys, keys.len(), 1, keys.len(), table);
     assert!(bank.len() >= keys.len() * table, "bank shorter than the key row needs");
-    let max_key = keys.iter().fold(0u16, |m, &v| m.max(v));
-    assert!(keys.is_empty() || (max_key as usize) < table, "key {max_key} out of table");
     // The x86 gather computes entry offsets in i32 lanes.
     #[cfg(target_arch = "x86_64")]
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit gather index range");
@@ -520,19 +640,16 @@ pub fn lut_gather(bank: &[f32], table: usize, keys: &[u16], k: ResolvedKernel) -
     )
 }
 
-/// Row-batched width-1 gather: for each row `i` of the key slab,
+/// Row-batched width-1 gather on a raw key slab: for each row `i`,
 /// `y[i · y_stride] += scales[i] · Σ bank[c·2^µ + keys_i[c]]`, each row
 /// summed in exactly [`lut_gather`]'s canonical tree order — the results
-/// are bit-identical to calling it row by row. Batching moves the level
-/// dispatch, the validation scan, and the gather set-up out of the
-/// per-output-row loop (the b = 1 tile loop calls this once per row tile
-/// instead of once per row), and lets the x86 body interleave two rows'
-/// gathers: the gather unit's latency is the width-1 bottleneck, and
-/// consecutive rows are independent chains.
+/// are bit-identical to calling it row by row.
 ///
 /// `keys` is a row-major slab: row `i` occupies
-/// `keys[i · key_stride ..][.. nc]` (`key_stride ≥ nc` — callers hand a
-/// window of the packed key matrix, whose stride is the full chunk count).
+/// `keys[i · key_stride ..][.. nc]` (`key_stride ≥ nc`). The slab is
+/// scanned for its largest key first; the b = 1 tile loop reaches the same
+/// kernel body through [`crate::layout::LutBank::gather_rows`], which
+/// takes its keys from the [`KeyMatrix`] and skips that scan.
 ///
 /// # Panics
 /// Panics when a slice is too short for the described geometry or a key
@@ -549,23 +666,39 @@ pub fn lut_gather_rows(
     nc: usize,
     k: ResolvedKernel,
 ) {
-    let nr = scales.len();
+    let rows = KeyRows::scan(keys, key_stride, scales.len(), nc, table);
+    gather_rows(y, y_stride, scales, bank, rows, k);
+}
+
+/// The width-1 rows kernel behind [`lut_gather_rows`] and
+/// [`crate::layout::LutBank::gather_rows`] — the b = 1 serving hot loop.
+/// One level dispatch per call, no key scan ([`KeyRows`] carries the
+/// bound); the x86 body runs eight rows' independent gather chains per
+/// pass and folds them in one transposed canonical tree.
+///
+/// # Panics
+/// Panics on a scale count other than the row count, or an output or bank
+/// too short for the described geometry.
+pub(crate) fn gather_rows(
+    y: &mut [f32],
+    y_stride: usize,
+    scales: &[f32],
+    bank: &[f32],
+    keys: KeyRows<'_>,
+    k: ResolvedKernel,
+) {
+    let (nr, nc, table) = (keys.rows, keys.width, keys.table);
+    assert_eq!(scales.len(), nr, "one scale per key row");
     if nr == 0 {
         return;
     }
     assert!(y_stride != 0, "y_stride must be positive");
-    assert!(key_stride >= nc, "key slab stride shorter than the row width");
     assert!(y.len() > (nr - 1) * y_stride, "output shorter than the row count needs");
-    assert!(keys.len() >= (nr - 1) * key_stride + nc, "key slab shorter than the rows need");
     assert!(bank.len() >= nc * table, "bank shorter than the key rows need");
-    let mut max_key = 0u16;
-    for row in keys.chunks(key_stride).take(nr) {
-        max_key = row[..nc].iter().fold(max_key, |mk, &v| mk.max(v));
-    }
-    assert!(nc == 0 || (max_key as usize) < table, "key {max_key} out of table");
     // The x86 gather computes entry offsets in i32 lanes.
     #[cfg(target_arch = "x86_64")]
     assert!(bank.len() <= i32::MAX as usize, "bank exceeds the 32-bit gather index range");
+    let (keys, key_stride) = (keys.keys, keys.stride);
     dispatch!(
         k,
         lut_gather_rows_scalar(y, y_stride, scales, bank, table, keys, key_stride, nc),
@@ -621,7 +754,8 @@ pub const ACC_TREE_WIDTH: usize = 8;
 /// prefetcher. The width-1 gathers ([`lut_gather`], [`lut_gather_rows`])
 /// do not prefetch: one column's tables stay cache-resident, and dropping
 /// the prefetch measured 1.2–1.5× faster at b = 1 on shapes whose keys fit
-/// in L2 (512×512, 2048×512, AVX2, 2-bit).
+/// in L2 (512×512, 2048×512, AVX2, 2-bit). The rows body instead hides
+/// gather latency with independent rows' chains (eight per pass).
 #[cfg(target_arch = "x86_64")]
 const PREFETCH_CHUNKS: usize = 16;
 
@@ -984,17 +1118,27 @@ mod avx2 {
         super::tree_reduce8(p)
     }
 
-    /// Row-batched width-1 gather: each row runs [`lut_gather`]'s
-    /// canonical 8-lane loop verbatim, and full row *pairs* run their two
-    /// (independent) gather chains interleaved in one loop so they hide
-    /// each other's latency — the gather unit, not the adds, bounds the
-    /// b = 1 query. No software prefetch: a width-1 bank is one column's
-    /// tables, which stay cache-resident, so prefetching entries only
-    /// spends issue slots (see `PREFETCH_CHUNKS`).
+    /// Row-batched width-1 gather. With a contiguous output (`y_stride ==
+    /// 1`) and whole 8-chunk groups (`nc % 8 == 0`), eight rows run per
+    /// pass: eight independent gather chains (lane `j` of row `r`'s
+    /// accumulator is its partial `j`), then [`tree_fold8x8`] folds all
+    /// eight rows at once and one vector `y += scale · sum` writes them.
+    /// Leftover rows run as interleaved pairs; a ragged `nc % 8` chunk tail
+    /// or a strided output (the one-column tail of a wider batch) runs the
+    /// pair and single-row loops, which spill the partials and finish the
+    /// tail scalar. (Finishing a ragged tail inside the 8-row pass, by a
+    /// spill or by a masked gather with `-0.0` in idle lanes, measured
+    /// slower than the pairs at 1000×603 3-bit.) Every path realises
+    /// [`lut_gather`]'s canonical tree per row. The gather unit's latency,
+    /// not the adds, bounds the b = 1 query, so more independent chains
+    /// mean more gathers in flight. No software prefetch: a width-1 bank is
+    /// one column's tables, which stay cache-resident (see
+    /// `PREFETCH_CHUNKS`).
     ///
     /// # Safety
-    /// AVX2 must be available; slab/output geometry, key ranges, and
-    /// `bank.len() ≤ i32::MAX` as asserted by the dispatcher.
+    /// AVX2 must be available; every key in the slab's `nr × nc` window is
+    /// `< table`, and the slab/output geometry and `bank.len() ≤ i32::MAX`
+    /// hold, as `super::gather_rows` asserts.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn lut_gather_rows(
@@ -1010,17 +1154,45 @@ mod avx2 {
         let nr = scales.len();
         let base = bank.as_ptr();
         let mut i = 0;
-        // SAFETY: the dispatcher asserted the slab/output geometry; every
-        // gathered offset is `c·table + key` with
-        // `key < table` and `c < nc`, in bounds per its bank-length check
-        // and representable in i32 lanes per its range check; 128-bit key
-        // loads read `row[ci..ci+8]` under the loop bound.
+        // SAFETY: the caller guarantees the slab/output geometry; every
+        // gathered offset is `c·table + key` with `key < table` and
+        // `c < nc`, in bounds per the bank-length check and representable
+        // in i32 lanes per the range check; 128-bit key loads read
+        // `row[ci..ci+8]` under the loop bound, and the 8-row pass writes
+        // `y[i..i+8]` and reads `scales[i..i+8]` only while `i + 8 ≤ nr`
+        // with `y_stride == 1`.
         unsafe {
             if nc >= 8 {
                 let lane_t = _mm256_mullo_epi32(
                     _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
                     _mm256_set1_epi32(table as i32),
                 );
+                if y_stride == 1 && nc.is_multiple_of(8) {
+                    while i + 8 <= nr {
+                        let k0 = keys.as_ptr().add(i * key_stride);
+                        let mut acc = [_mm256_setzero_ps(); 8];
+                        let mut ci = 0;
+                        while ci < nc {
+                            let ct =
+                                _mm256_add_epi32(_mm256_set1_epi32((ci * table) as i32), lane_t);
+                            for (r, a) in acc.iter_mut().enumerate() {
+                                let kp = k0.add(r * key_stride + ci) as *const __m128i;
+                                let kv = _mm256_cvtepu16_epi32(_mm_loadu_si128(kp));
+                                let g = _mm256_i32gather_ps::<4>(base, _mm256_add_epi32(ct, kv));
+                                *a = _mm256_add_ps(*a, g);
+                            }
+                            ci += 8;
+                        }
+                        let sums = tree_fold8x8(acc);
+                        let sv = _mm256_loadu_ps(scales.as_ptr().add(i));
+                        let yp = y.as_mut_ptr().add(i);
+                        _mm256_storeu_ps(
+                            yp,
+                            _mm256_add_ps(_mm256_loadu_ps(yp), _mm256_mul_ps(sv, sums)),
+                        );
+                        i += 8;
+                    }
+                }
                 while i + 2 <= nr {
                     let ka = keys.as_ptr().add(i * key_stride);
                     let kb = keys.as_ptr().add((i + 1) * key_stride);
@@ -1063,6 +1235,51 @@ mod avx2 {
                 i += 1;
             }
         }
+    }
+
+    /// The canonical fold of eight rows' partial vectors at once: lane `r`
+    /// of the result is row `r`'s sum, each rounded exactly as
+    /// [`super::tree_reduce8`] rounds it. Cross-lane `permute2f128` pairs
+    /// put rows `2k, 2k+1` in one register and add `p[i] + p[i+4]`; two
+    /// in-lane shuffles per register pair add `p[i] + p[i+2]`; `hadd`
+    /// adds `p[0] + p[1]`, leaving rows in lane order 0 2 4 6 1 3 5 7,
+    /// which one `permutevar8x32` restores. IEEE addition is commutative,
+    /// so operand order inside each add changes no bit.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tree_fold8x8(a: [__m256; 8]) -> __m256 {
+        // p[i] + p[i+4]: low 128 lanes of row 2k, then of row 2k+1.
+        let u01 = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(a[0], a[1]),
+            _mm256_permute2f128_ps::<0x31>(a[0], a[1]),
+        );
+        let u23 = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(a[2], a[3]),
+            _mm256_permute2f128_ps::<0x31>(a[2], a[3]),
+        );
+        let u45 = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(a[4], a[5]),
+            _mm256_permute2f128_ps::<0x31>(a[4], a[5]),
+        );
+        let u67 = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(a[6], a[7]),
+            _mm256_permute2f128_ps::<0x31>(a[6], a[7]),
+        );
+        // p[i] + p[i+2] (i = 0, 1) per 128-bit lane: [x0 x1 y0 y1] + [x2 x3 y2 y3].
+        let w0 = _mm256_add_ps(
+            _mm256_shuffle_ps::<0b01_00_01_00>(u01, u23),
+            _mm256_shuffle_ps::<0b11_10_11_10>(u01, u23),
+        );
+        let w1 = _mm256_add_ps(
+            _mm256_shuffle_ps::<0b01_00_01_00>(u45, u67),
+            _mm256_shuffle_ps::<0b11_10_11_10>(u45, u67),
+        );
+        // p[0] + p[1]: rows land in lane order 0 2 4 6 | 1 3 5 7.
+        let sums = _mm256_hadd_ps(w0, w1);
+        _mm256_permutevar8x32_ps(sums, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7))
     }
 }
 
@@ -1634,6 +1851,45 @@ mod tests {
                 let mut y = [0.0f32];
                 lut_query_fused(&mut y, 1.0, &bank, table, 1, &keys, k);
                 assert_eq!(want.to_bits(), y[0].to_bits(), "fused@1 {level} chunks={chunks}");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_rows_eight_row_groups_match_per_row_scalar() {
+        // Row counts leaving 8-row groups plus a pair and a single row,
+        // whole 8-chunk groups (the 8-row body's condition) and a ragged
+        // width, contiguous and strided outputs: every level equals the
+        // scalar per-row gather bit for bit.
+        let mut g = MatrixRng::seed_from(44);
+        for &(rows, chunks, mu) in
+            &[(8usize, 8usize, 8usize), (19, 16, 4), (37, 32, 8), (11, 13, 3)]
+        {
+            let table = 1usize << mu;
+            let bank = g.gaussian_vec(chunks * table);
+            let keys: Vec<u16> =
+                (0..rows * chunks).map(|i| ((i * 37 + 11) % table) as u16).collect();
+            let scales = g.gaussian_vec(rows);
+            for y_stride in [1usize, 3] {
+                let y0 = g.gaussian_vec(rows * y_stride);
+                let mut want = y0.clone();
+                for (i, &scale) in scales.iter().enumerate() {
+                    let row = &keys[i * chunks..][..chunks];
+                    want[i * y_stride] += scale * lut_gather_scalar(&bank, table, row);
+                }
+                for level in supported_levels() {
+                    let k = KernelRequest::Exact(level).resolve().unwrap();
+                    let mut got = y0.clone();
+                    lut_gather_rows(
+                        &mut got, y_stride, &scales, &bank, table, &keys, chunks, chunks, k,
+                    );
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{level} rows={rows} chunks={chunks} stride={y_stride}"
+                    );
+                }
             }
         }
     }

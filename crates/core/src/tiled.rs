@@ -90,7 +90,6 @@ pub(crate) fn run_tiles(
     }
     let input = ChunkedInput::new(x, w.mu());
     let chunks = w.chunks();
-    let keys = w.keys();
     let m = w.output_size();
     for (b0, nb) in tile_ranges(b, cfg.tile_batch) {
         if nb == 1 {
@@ -100,18 +99,13 @@ pub(crate) fn run_tiles(
         for (c0, nc) in tile_ranges(chunks, cfg.tile_chunks) {
             bank.build(&input, c0, nc, b0, nb, profile, kernel);
             profile.time_query(|| {
-                for &(kr_start, kr_end) in key_row_ranges {
-                    for r in kr_start..kr_end {
-                        let scale = w.scale(r);
-                        let out_row = r % m;
-                        debug_assert!(out_row >= y_row0);
-                        let yoff = (out_row - y_row0) * b + b0;
-                        let krow = &keys.key_row(r)[c0..c0 + nc];
-                        // Fused lookup-accumulate at the pinned level:
-                        // register accumulation across the tile's chunks,
-                        // scale applied in-pass.
-                        bank.query_fused(krow, scale, &mut y[yoff..yoff + nb], kernel);
-                    }
+                // Fused lookup-accumulate at the pinned level, one call per
+                // plane run: register accumulation across the tile's
+                // chunks, scale applied in-pass.
+                for (s, e) in plane_runs(key_row_ranges, m) {
+                    debug_assert!(s % m >= y_row0);
+                    let yoff = (s % m - y_row0) * b + b0;
+                    bank.query_fused(w.keys(), s..e, &w.scales()[s..e], &mut y[yoff..], b, kernel);
                 }
             });
         }
@@ -153,8 +147,6 @@ fn run_width1(
 ) {
     let (m, b, chunks) = (w.output_size(), input.batch(), w.chunks());
     bank.build(input, 0, chunks, b0, 1, profile, kernel);
-    let keys = w.keys().as_slice();
-    let stride = w.keys().chunks();
     // Output rows the ranges touch; a block outside every plane run is
     // skipped by the intersection below.
     let (lo, hi) = plane_runs(key_row_ranges, m)
@@ -173,12 +165,11 @@ fn run_width1(
                     }
                     debug_assert!(rs >= y_row0);
                     let (r, r_end) = (plane + rs, plane + re);
-                    let slab = &keys[r * stride + c0..(r_end - 1) * stride + c0 + nc];
                     let yoff = (rs - y_row0) * b + b0;
                     bank.gather_rows(
+                        w.keys(),
+                        r..r_end,
                         c0,
-                        slab,
-                        stride,
                         nc,
                         &w.scales()[r..r_end],
                         &mut y[yoff..],

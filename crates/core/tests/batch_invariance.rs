@@ -116,7 +116,7 @@ fn width_one_matches_both_parallel_schedules() {
         let cfg = BiqConfig { schedule, ..BiqConfig::default() };
         let pool = ParallelArena::new(2);
         let mut y = vec![0.0f32; m];
-        biqgemm_parallel_arena_into(&w, &x, &cfg, kernel, &pool, &mut y);
+        biqgemm_parallel_arena_into(&w, &x, &cfg, kernel, &mut profile, &pool, &mut y);
         assert_eq!(
             y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             y_serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -173,7 +173,7 @@ fn width_one_tiles_match_fused_columns_on_a_multi_tile_shape() {
         }
         let cfg = BiqConfig { schedule: Schedule::RowParallel, ..base };
         let mut y = vec![0.0f32; m];
-        biqgemm_parallel_arena_into(&w, &xj, &cfg, kernel, &pool, &mut y);
+        biqgemm_parallel_arena_into(&w, &xj, &cfg, kernel, &mut profile, &pool, &mut y);
         assert_eq!(bits_of(&y), want, "row-parallel b=1, col {j}");
     }
 }

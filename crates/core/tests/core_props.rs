@@ -24,7 +24,8 @@ fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Vec<f32> {
 fn parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig) -> Vec<f32> {
     let mut y = vec![0.0f32; w.output_size() * x.cols()];
     let pool = ParallelArena::with_current_threads();
-    biqgemm_parallel_arena_into(w, x, cfg, cfg.kernel.resolve().unwrap(), &pool, &mut y);
+    let (k, mut p) = (cfg.kernel.resolve().unwrap(), PhaseProfile::new());
+    biqgemm_parallel_arena_into(w, x, cfg, k, &mut p, &pool, &mut y);
     y
 }
 

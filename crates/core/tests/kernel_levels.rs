@@ -31,7 +31,8 @@ fn serial(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> 
 
 fn parallel(w: &BiqWeights, x: &ColMatrix, cfg: &BiqConfig, k: ResolvedKernel) -> Vec<f32> {
     let mut y = vec![0.0f32; w.output_size() * x.cols()];
-    biqgemm_parallel_arena_into(w, x, cfg, k, &ParallelArena::with_current_threads(), &mut y);
+    let pool = ParallelArena::with_current_threads();
+    biqgemm_parallel_arena_into(w, x, cfg, k, &mut PhaseProfile::new(), &pool, &mut y);
     y
 }
 
@@ -143,14 +144,15 @@ proptest! {
     }
 
     /// The row-batched gather is the per-row gather, bit for bit: for any
-    /// slab geometry (stride > width, strided outputs, odd row counts that
-    /// leave an unpaired row, ragged `% 8` chunk tails), at every level,
+    /// slab geometry (stride > width, strided outputs, row counts that
+    /// leave 8-row groups, pairs and an unpaired row, ragged `% 8` chunk
+    /// tails), at every level,
     /// `lut_gather_rows` accumulates exactly what a per-row
     /// `y += scale · lut_gather(row)` loop would. This is what lets the
     /// width-1 tile loop batch whole row tiles into one dispatch.
     #[test]
     fn gather_rows_equals_per_row_gather(
-        rows in 1usize..12,
+        rows in 1usize..40,
         chunks in 1usize..24,
         extra_stride in 0usize..5,
         y_stride in 1usize..4,
@@ -184,6 +186,60 @@ proptest! {
                 gb, wb,
                 "level={} rows={} chunks={} stride={} y_stride={}",
                 level, rows, chunks, stride, y_stride
+            );
+        }
+    }
+
+    /// The hot-path form of the same contract: keys fed from a packed
+    /// `KeyMatrix` with a ragged last chunk (`n % µ ≠ 0`) through
+    /// `LutBank::gather_rows` — no key scan — over any row range and chunk
+    /// window equal a per-row `y += scale · lut_gather(row)` loop over the
+    /// same bank, bit for bit, at every level.
+    #[test]
+    fn key_matrix_fed_gather_rows_equals_per_row_gather(
+        m in 1usize..40,
+        full_chunks in 0usize..12,
+        mu in 2usize..=8,
+        ragged in 1usize..8,
+        y_stride in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        use biq_matrix::reshape::ChunkedInput;
+        use biq_quant::packing::KeyMatrix;
+        use biqgemm_core::layout::LutBank;
+        use biqgemm_core::simd::lut_gather;
+        let n = full_chunks * mu + 1 + ragged % (mu - 1);
+        let (table, chunks) = (1usize << mu, n.div_ceil(mu));
+        let mut g = MatrixRng::seed_from(seed ^ 0x6b6d);
+        let keys = KeyMatrix::pack(&g.signs(m, n), mu);
+        let x = g.gaussian_col(n, 1, 0.0, 1.0);
+        let (r0, r1) = ((seed % m as u64) as usize, m - (seed / 7 % m as u64) as usize);
+        let (r0, r1) = (r0.min(r1), r0.max(r1));
+        let c0 = (seed / 49 % chunks as u64) as usize;
+        let nc = chunks - c0 - (seed / 343 % (chunks - c0) as u64) as usize;
+        let scales: Vec<f32> = g.gaussian(1, r1 - r0, 0.0, 1.0).as_slice().to_vec();
+        let y_init: Vec<f32> = g.gaussian(1, m * y_stride, 0.0, 1.0).as_slice().to_vec();
+        for level in supported_levels() {
+            let k = exact(level);
+            let mut bank = LutBank::new(mu);
+            bank.build(&ChunkedInput::new(&x, mu), 0, chunks, 0, 1, &mut PhaseProfile::new(), k);
+            let flat: Vec<f32> = (c0..c0 + nc)
+                .flat_map(|c| (0..table).map(move |key| (c, key as u16)))
+                .map(|(c, key)| bank.entry_vec(c, key)[0])
+                .collect();
+            let mut want = y_init.clone();
+            for (i, &scale) in scales.iter().enumerate() {
+                let row = &keys.key_row(r0 + i)[c0..c0 + nc];
+                want[i * y_stride] += scale * lut_gather(&flat, table, row, k);
+            }
+            let mut got = y_init.clone();
+            bank.gather_rows(&keys, r0..r1, c0, nc, &scales, &mut got, y_stride, k);
+            let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(
+                gb, wb,
+                "level={} m={} n={} µ={} rows={}..{} chunks={}+{}",
+                level, m, n, mu, r0, r1, c0, nc
             );
         }
     }

@@ -25,6 +25,12 @@ use biq_matrix::SignMatrix;
 /// artifact borrows the artifact's byte buffer ([`KeyMatrix::from_shared`])
 /// instead of re-allocating — loading a packed model is a validation pass,
 /// not a copy.
+///
+/// Invariant: every key of a full chunk is below `2^µ` and every key of a
+/// ragged last chunk below `2^len`. Each constructor establishes it (the
+/// deserializing ones with one range scan) and no method changes a key
+/// afterwards; BiQGEMM's query kernels index their `2^µ`-entry tables
+/// with these keys unchecked on the strength of it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyMatrix {
     rows: usize,

@@ -235,9 +235,7 @@ impl GemmBackend for BiqBackend {
     fn execute(&self, x: &ColMatrix, arena: &mut Arena, profile: &mut PhaseProfile, y: &mut [f32]) {
         if self.parallel {
             let pool = arena.par_pool();
-            profile.time_query(|| {
-                biqgemm_parallel_arena_into(&self.w, x, &self.cfg, self.kernel, pool, y)
-            });
+            biqgemm_parallel_arena_into(&self.w, x, &self.cfg, self.kernel, profile, pool, y);
         } else {
             biqgemm_serial_into(&self.w, x, &self.cfg, self.kernel, profile, &mut arena.biq, y);
         }

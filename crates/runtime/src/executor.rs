@@ -198,6 +198,8 @@ mod tests {
     use crate::backends::{compile, WeightSource};
     use crate::plan::{BackendSpec, PlanBuilder, QuantMethod};
     use biq_matrix::MatrixRng;
+    use biqgemm_core::planner::Threading;
+    use biqgemm_core::{BiqConfig, Schedule};
 
     #[test]
     fn repeat_runs_are_bit_identical() {
@@ -215,6 +217,31 @@ mod tests {
         assert_eq!(y1.as_slice(), y2.as_slice());
         assert_eq!(exec.runs(), 2);
         assert!(exec.profile().query > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn parallel_ops_report_every_phase() {
+        // The parallel drivers' per-task phase times reach the executor's
+        // profile, so a batched parallel run shows its build/replace split
+        // instead of charging everything to query.
+        let mut g = MatrixRng::seed_from(96);
+        for schedule in [Schedule::RowParallel, Schedule::SharedLut] {
+            let signs = g.signs(128, 256);
+            let x = g.gaussian_col(256, 32, 0.0, 1.0);
+            let plan = PlanBuilder::new(128, 256)
+                .batch_hint(32)
+                .threading(Threading::Parallel)
+                .config(BiqConfig { schedule, ..BiqConfig::default() })
+                .backend(BackendSpec::Biq { bits: 1, method: QuantMethod::Greedy })
+                .build();
+            let op = compile(&plan, WeightSource::Signs(&signs));
+            let mut exec = Executor::new();
+            exec.run(&op, &x);
+            let p = exec.profile();
+            assert!(p.build > std::time::Duration::ZERO, "{schedule:?}: {p:?}");
+            assert!(p.replace > std::time::Duration::ZERO, "{schedule:?}: {p:?}");
+            assert!(p.query > std::time::Duration::ZERO, "{schedule:?}: {p:?}");
+        }
     }
 
     #[test]
